@@ -1,5 +1,6 @@
 #include "index/agg_tree.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace tc::index {
@@ -25,27 +26,33 @@ std::string AggTree::NodeKey(uint32_t level, uint64_t node_index) const {
   return key;
 }
 
-Result<Bytes> AggTree::LoadNode(uint32_t level, uint64_t node_index,
-                                QueryStats* stats) const {
-  std::string key = NodeKey(level, node_index);
-  if (auto cached = cache_.Get(key)) {
-    if (stats != nullptr) {
-      ++stats->nodes_fetched;
-      ++stats->cache_hits;
-    }
-    return std::move(*cached);
-  }
+uint64_t AggTree::OpenNodeIndex(uint32_t level) const {
+  uint64_t entries = next_index_;  // entries at `level`
+  for (uint32_t l = 0; l < level; ++l) entries /= options_.fanout;
+  return entries / options_.fanout;
+}
+
+Result<AggTree::Node> AggTree::LoadNode(uint32_t level, uint64_t node_index,
+                                        QueryStats* stats) const {
   if (stats != nullptr) ++stats->nodes_fetched;
-  TC_ASSIGN_OR_RETURN(Bytes node, kv_->Get(key));
-  cache_.Put(key, node);
+  std::string key = NodeKey(level, node_index);
+  const bool sealed = node_index < OpenNodeIndex(level);
+  if (sealed) {
+    if (Node cached = cache_.Get(key)) {
+      if (stats != nullptr) ++stats->cache_hits;
+      return cached;
+    }
+  }
+  TC_ASSIGN_OR_RETURN(Bytes stored, kv_->Get(key));
+  auto node = std::make_shared<const Bytes>(std::move(stored));
+  if (sealed) cache_.Put(key, node);
   return node;
 }
 
-Status AggTree::StoreNode(uint32_t level, uint64_t node_index,
-                          BytesView node) {
-  std::string key = NodeKey(level, node_index);
-  cache_.Put(key, node);
-  return kv_->Put(key, node);
+std::shared_ptr<Bytes> AggTree::NewNode() const {
+  auto node = std::make_shared<Bytes>();
+  node->reserve(size_t{options_.fanout} * cipher_->blob_size());
+  return node;
 }
 
 Status AggTree::Append(uint64_t index, BytesView digest_blob) {
@@ -58,40 +65,52 @@ Status AggTree::Append(uint64_t index, BytesView digest_blob) {
     return InvalidArgument("digest blob size mismatch");
   }
   const uint32_t k = options_.fanout;
+  const size_t bs = cipher_->blob_size();
 
-  // Append at level 0, then cascade completed nodes upward. `carry` holds
-  // the aggregate of the node completed at the previous level.
-  Bytes carry(digest_blob.begin(), digest_blob.end());
-  uint64_t child_pos = index;  // entry position at the current level
-  uint32_t level = 0;
-  while (true) {
-    uint64_t node_index = child_pos / k;
-    size_t entry = child_pos % k;
-
-    Bytes node;
-    if (entry != 0) {
-      TC_ASSIGN_OR_RETURN(node, LoadNode(level, node_index, nullptr));
-      if (node.size() != entry * cipher_->blob_size()) {
-        return Internal("index node has unexpected entry count");
-      }
+  if (cascade_written_ > 0) {
+    // A retry after a failed store write: cascade_ was computed from this
+    // chunk's digest and its first entries are already stored.
+    if (!std::equal(digest_blob.begin(), digest_blob.end(),
+                    cascade_[0].begin(), cascade_[0].end())) {
+      return FailedPrecondition("chunk " + std::to_string(index) +
+                                " is partly indexed with another digest");
     }
-    tc::Append(node, carry);  // append the new entry's bytes to the node
-    TC_RETURN_IF_ERROR(StoreNode(level, node_index, node));
-
-    if (entry != k - 1) break;  // node not complete: no cascade
-
-    // Node complete: compute its aggregate and insert into the parent.
-    Bytes agg(node.begin(), node.begin() + cipher_->blob_size());
-    for (size_t e = 1; e < k; ++e) {
-      TC_RETURN_IF_ERROR(cipher_->Add(
-          std::span<uint8_t>(agg),
-          BytesView(node).subspan(e * cipher_->blob_size(),
-                                  cipher_->blob_size())));
+  } else {
+    // The entry at level 0, then one level up for every node it completes:
+    // the completed node's aggregate, from its resident entries.
+    cascade_.assign(1, Bytes(digest_blob.begin(), digest_blob.end()));
+    for (size_t level = 0;
+         level < spine_.size() && spine_[level]->size() == (k - 1) * bs;
+         ++level) {
+      Bytes agg;
+      TC_RETURN_IF_ERROR(FoldEntries(*spine_[level], 0, k - 1, agg, nullptr));
+      TC_RETURN_IF_ERROR(
+          cipher_->Add(std::span<uint8_t>(agg), cascade_.back()));
+      cascade_.push_back(std::move(agg));
     }
-    carry = std::move(agg);
-    child_pos = node_index;
-    ++level;
   }
+
+  // Bottom-up, so the store never holds a parent entry whose child node is
+  // incomplete. Each write is one entry appended to its node's key.
+  uint64_t pos = index;  // the entry's position at `level`
+  for (uint32_t level = 0; level < cascade_.size(); ++level, pos /= k) {
+    if (level < cascade_written_) continue;
+    TC_RETURN_IF_ERROR(kv_->Append(NodeKey(level, pos / k), cascade_[level]));
+    ++cascade_written_;
+  }
+
+  // Every write landed: move the spine and the position forward.
+  pos = index;
+  for (uint32_t level = 0; level < cascade_.size(); ++level, pos /= k) {
+    if (level == spine_.size()) spine_.push_back(NewNode());
+    tc::Append(*spine_[level], cascade_[level]);
+    if (pos % k == k - 1) {
+      // Sealed: it never changes again, so the cache can hand it out.
+      cache_.Put(NodeKey(level, pos / k), std::move(spine_[level]));
+      spine_[level] = NewNode();
+    }
+  }
+  cascade_written_ = 0;
   next_index_ = index + 1;
   return Status::Ok();
 }
@@ -146,20 +165,20 @@ Result<Bytes> AggTree::Query(uint64_t first, uint64_t last,
     uint64_t node_hi = (hi - 1) / k;
     if (node_lo == node_hi) {
       // Remaining range fits in one node.
-      TC_ASSIGN_OR_RETURN(Bytes node, LoadNode(level, node_lo, &stats));
+      TC_ASSIGN_OR_RETURN(Node node, LoadNode(level, node_lo, &stats));
       TC_RETURN_IF_ERROR(
-          FoldEntries(node, lo % k, (hi - 1) % k + 1, left_acc, &stats));
+          FoldEntries(*node, lo % k, (hi - 1) % k + 1, left_acc, &stats));
       break;
     }
     if (lo % k != 0) {
-      TC_ASSIGN_OR_RETURN(Bytes node, LoadNode(level, node_lo, &stats));
-      TC_RETURN_IF_ERROR(FoldEntries(node, lo % k, k, left_acc, &stats));
+      TC_ASSIGN_OR_RETURN(Node node, LoadNode(level, node_lo, &stats));
+      TC_RETURN_IF_ERROR(FoldEntries(*node, lo % k, k, left_acc, &stats));
       lo = (node_lo + 1) * k;
     }
     if (hi % k != 0) {
-      TC_ASSIGN_OR_RETURN(Bytes node, LoadNode(level, node_hi, &stats));
+      TC_ASSIGN_OR_RETURN(Node node, LoadNode(level, node_hi, &stats));
       Bytes piece;
-      TC_RETURN_IF_ERROR(FoldEntries(node, 0, hi % k, piece, &stats));
+      TC_RETURN_IF_ERROR(FoldEntries(*node, 0, hi % k, piece, &stats));
       right_pieces.push_back(std::move(piece));
       hi = node_hi * k;
     }
@@ -182,58 +201,111 @@ Result<Bytes> AggTree::Query(uint64_t first, uint64_t last,
   return left_acc;
 }
 
-Status AggTree::Recover() {
-  // The probe assumes level-0 nodes form a contiguous prefix, which decay
-  // (DecayLeafRange) can break: recover *before* re-applying retention
-  // policies, or persist the decay watermark externally.
-  if (!kv_->Contains(NodeKey(0, 0))) {
-    next_index_ = 0;
-    return Status::Ok();
-  }
-  // Exponential then binary search for the last existing level-0 node.
-  uint64_t lo = 0, hi = 1;
-  while (kv_->Contains(NodeKey(0, hi))) {
-    lo = hi;
-    hi *= 2;
-  }
-  while (lo + 1 < hi) {
-    uint64_t mid = lo + (hi - lo) / 2;
-    if (kv_->Contains(NodeKey(0, mid))) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  TC_ASSIGN_OR_RETURN(Bytes node, LoadNode(0, lo, nullptr));
-  if (node.empty() || node.size() % cipher_->blob_size() != 0) {
-    return DataLoss("recovered index node has torn size");
-  }
-  next_index_ = lo * options_.fanout + node.size() / cipher_->blob_size();
-  return Status::Ok();
-}
+Status AggTree::Recover() { return LoadSpine(/*repair=*/true); }
 
 Status AggTree::Refresh() {
   cache_.Clear();
-  uint64_t before = next_index_;
-  next_index_ = 0;
-  Status s = Recover();
-  if (!s.ok()) {
-    // Keep serving the position we had; the cache drop alone is harmless.
-    next_index_ = before;
+  return LoadSpine(/*repair=*/false);
+}
+
+Status AggTree::LoadSpine(bool repair) {
+  // The probe assumes level-0 nodes form a contiguous prefix, which decay
+  // (DecayLeafRange) can break: recover *before* re-applying retention
+  // policies, or persist the decay watermark externally.
+  uint64_t n = 0;
+  if (kv_->Contains(NodeKey(0, 0))) {
+    // Exponential then binary search for the last existing level-0 node.
+    uint64_t lo = 0, hi = 1;
+    while (kv_->Contains(NodeKey(0, hi))) {
+      lo = hi;
+      hi *= 2;
+    }
+    while (lo + 1 < hi) {
+      uint64_t mid = lo + (hi - lo) / 2;
+      if (kv_->Contains(NodeKey(0, mid))) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+    }
+    TC_ASSIGN_OR_RETURN(Bytes node, kv_->Get(NodeKey(0, lo)));
+    if (node.empty() || node.size() % cipher_->blob_size() != 0 ||
+        node.size() / cipher_->blob_size() > options_.fanout) {
+      return DataLoss("recovered index node has torn size");
+    }
+    n = lo * options_.fanout + node.size() / cipher_->blob_size();
   }
-  return s;
+  std::vector<std::shared_ptr<Bytes>> spine;
+  TC_ASSIGN_OR_RETURN(bool complete, ReadSpine(n, repair, spine));
+  if (!complete) {
+    // Only the newest chunk's cascade can be cut short; without it the
+    // tree is whole.
+    --n;
+    TC_ASSIGN_OR_RETURN(complete, ReadSpine(n, repair, spine));
+    if (!complete) return DataLoss("index is missing parent entries");
+  }
+  spine_ = std::move(spine);
+  next_index_ = n;
+  cascade_written_ = 0;
+  return Status::Ok();
+}
+
+Result<bool> AggTree::ReadSpine(uint64_t n, bool repair,
+                                std::vector<std::shared_ptr<Bytes>>& spine) {
+  const uint32_t k = options_.fanout;
+  const size_t bs = cipher_->blob_size();
+  spine.clear();
+  Bytes below;  // the previous level's last node
+  for (uint64_t entries = n; entries > 0; entries /= k) {
+    const auto level = static_cast<uint32_t>(spine.size());
+    const uint64_t last = entries - 1;  // this level's last entry
+    const std::string key = NodeKey(level, last / k);
+    Bytes node;
+    if (auto stored = kv_->Get(key); stored.ok()) {
+      node = std::move(*stored);
+    } else if (stored.status().code() != StatusCode::kNotFound) {
+      return stored.status();
+    }
+    // The writer's store holds exactly the entries `n` implies, or one
+    // less (below). A replica's may also hold part of a newer chunk's
+    // cascade.
+    const size_t stored_entries = node.size() / bs;
+    if (node.size() % bs != 0 || stored_entries < last % k ||
+        (repair && stored_entries > last % k + 1)) {
+      return DataLoss("index node " + key + " has torn size");
+    }
+    if (stored_entries == last % k) {
+      // Entry `last` aggregates the previous level's last node, which is
+      // sealed and was written first: a crash or failed write in between.
+      if (level == 0 || below.size() != k * bs) {
+        return DataLoss("index node " + key + " lacks an entry");
+      }
+      if (!repair) return false;
+      Bytes agg;
+      TC_RETURN_IF_ERROR(FoldEntries(below, 0, k, agg, nullptr));
+      TC_RETURN_IF_ERROR(kv_->Append(key, agg));
+      tc::Append(node, agg);
+    }
+    auto open = NewNode();
+    if (entries % k != 0) {
+      open->assign(node.begin(), node.begin() + (entries % k) * bs);
+    }
+    spine.push_back(std::move(open));
+    below = std::move(node);
+  }
+  return true;
 }
 
 Result<Bytes> AggTree::LeafDigest(uint64_t index) const {
   if (index >= next_index_) return OutOfRange("chunk not ingested");
   const uint32_t k = options_.fanout;
-  TC_ASSIGN_OR_RETURN(Bytes node, LoadNode(0, index / k, nullptr));
+  TC_ASSIGN_OR_RETURN(Node node, LoadNode(0, index / k, nullptr));
   size_t bs = cipher_->blob_size();
   size_t entry = index % k;
-  if ((entry + 1) * bs > node.size()) {
+  if ((entry + 1) * bs > node->size()) {
     return Internal("leaf node shorter than expected");
   }
-  BytesView view = BytesView(node).subspan(entry * bs, bs);
+  BytesView view = BytesView(*node).subspan(entry * bs, bs);
   return Bytes(view.begin(), view.end());
 }
 

@@ -11,11 +11,19 @@
 // entries in the middle: O(2(k-1) log_k n) digest additions worst case.
 //
 // Nodes live in a KvStore under computed identifiers (stream, level, index)
-// — no stored references (§4.6) — with an LRU cache in front (§5).
+// — no stored references (§4.6). Writes are append-only: each new entry is
+// one KvStore::Append of blob_size() bytes to its node's key, so an ingested
+// chunk costs O(1) store bytes, plus one more entry per level whenever it
+// completes a node. The writer keeps every level's open rightmost node
+// resident (the spine) to aggregate a node the moment it fills, without
+// reading it back. A node never changes once full (sealed); only sealed
+// nodes enter the LRU cache (§5), which hands them out as shared buffers.
+// Queries read the open nodes from the store.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "index/digest_cipher.hpp"
 #include "store/kv_store.hpp"
@@ -42,18 +50,27 @@ class AggTree {
           std::shared_ptr<const DigestCipher> cipher, AggTreeOptions options);
 
   /// Append chunk `index`'s encrypted digest. Indices must arrive in order
-  /// starting at 0 (in-order append-only workload, §4.5).
+  /// starting at 0 (in-order append-only workload, §4.5). The in-memory
+  /// position advances only once every store write succeeded. After a
+  /// failure, retry the same index with the same digest: the retry skips
+  /// the entries already written, so each lands exactly once.
   Status Append(uint64_t index, BytesView digest_blob);
 
   /// Rediscover the append position from the backing store (server restart
-  /// over a durable KV). Probes level-0 node keys — O(log n) Contains calls
-  /// plus one node read; no scan API needed.
+  /// over a durable KV) and load the resident spine. Probes level-0 node
+  /// keys — O(log n) Contains calls — then reads one node per level. A
+  /// crash between a node's last entry and its parent entry left that
+  /// parent entry unwritten; Recover writes it, once.
   Status Recover();
 
   /// Re-sync with a store that advanced underneath this handle (a replica
-  /// store receiving shipped mutations): drop every cached node — appends
-  /// rewrite rightmost-spine nodes in place, so any of them may be stale —
-  /// and re-run the Recover probe for the new append position.
+  /// store receiving shipped mutations) without writing to it. Drops every
+  /// cached node — sealed nodes never change in place, but a snapshot
+  /// re-seed or a shipped decay can replace or delete them — and reloads
+  /// the position and spine as Recover does. A store caught between a
+  /// node's last entry and its parent entry is served up to the chunk
+  /// before, until the parent entry arrives. On failure the handle keeps
+  /// serving the position it had.
   Status Refresh();
 
   /// Aggregate over chunk range [first, last). Returns the encrypted
@@ -83,10 +100,25 @@ class AggTree {
   const store::LruCache& cache() const { return cache_; }
 
  private:
+  using Node = store::LruCache::Value;
+
   std::string NodeKey(uint32_t level, uint64_t node_index) const;
-  Result<Bytes> LoadNode(uint32_t level, uint64_t node_index,
-                         QueryStats* stats) const;
-  Status StoreNode(uint32_t level, uint64_t node_index, BytesView node);
+  /// Index of the open (not yet full) node at `level`; nodes below it are
+  /// sealed.
+  uint64_t OpenNodeIndex(uint32_t level) const;
+  /// A sealed node comes from the cache (filled on a miss); the open node
+  /// is read from the store uncached, since it still grows.
+  Result<Node> LoadNode(uint32_t level, uint64_t node_index,
+                        QueryStats* stats) const;
+  /// An empty node buffer with room for k entries.
+  std::shared_ptr<Bytes> NewNode() const;
+  /// Recover() (repair = true) and Refresh() (repair = false).
+  Status LoadSpine(bool repair);
+  /// Read the spine of a tree holding `n` chunks into `spine`. Returns false
+  /// when the last sealed node of a level lacks its parent entry and
+  /// `repair` is off; with `repair` the entry is computed and appended.
+  Result<bool> ReadSpine(uint64_t n, bool repair,
+                         std::vector<std::shared_ptr<Bytes>>& spine);
 
   /// Aggregate entries [from, to) of a loaded node into `acc` (or move the
   /// first entry into acc when empty).
@@ -99,6 +131,14 @@ class AggTree {
   AggTreeOptions options_;
   mutable store::LruCache cache_;
   uint64_t next_index_ = 0;
+  // spine_[L]: the entries of level L's open node, as written to the store.
+  std::vector<std::shared_ptr<Bytes>> spine_;
+  // The entries one Append writes: cascade_[0] is the chunk's digest and
+  // cascade_[L + 1] the aggregate of the level-L node it completes. When a
+  // store write fails, the first cascade_written_ of them are in the store
+  // and the retry resumes after them.
+  std::vector<Bytes> cascade_;
+  size_t cascade_written_ = 0;
 };
 
 }  // namespace tc::index

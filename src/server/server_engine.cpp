@@ -96,7 +96,7 @@ void ServerEngine::RecoverStreams() {
     BinaryReader cfg_reader(*cfg_blob);
     auto config = net::StreamConfig::Decode(cfg_reader);
     if (!config.ok()) continue;
-    auto stream = OpenStream(*uuid, *config, /*recover=*/true);
+    auto stream = OpenStream(*uuid, *config, Open::kRecover);
     if (!stream.ok()) {
       TC_LOG_WARN << "recovery: skipping stream " << *uuid << ": "
                   << stream.status().ToString();
@@ -107,14 +107,14 @@ void ServerEngine::RecoverStreams() {
 }
 
 Result<std::shared_ptr<ServerEngine::Stream>> ServerEngine::OpenStream(
-    uint64_t uuid, const net::StreamConfig& config, bool recover) {
+    uint64_t uuid, const net::StreamConfig& config, Open how) {
   TC_ASSIGN_OR_RETURN(auto cipher, MakeAddCipher(config));
   auto tree = std::make_unique<index::AggTree>(
       kv_, "idx/" + std::to_string(uuid), cipher,
       index::AggTreeOptions{config.fanout, options_.index_cache_bytes});
-  if (recover) {
-    TC_RETURN_IF_ERROR(tree->Recover());
-  }
+  if (how == Open::kRecover) TC_RETURN_IF_ERROR(tree->Recover());
+  if (how == Open::kRefresh) TC_RETURN_IF_ERROR(tree->Refresh());
+  const bool recover = how != Open::kCreate;
   auto stream = std::make_shared<Stream>(
       config, ChunkClock(config.t0, config.delta_ms), cipher,
       std::move(tree));
@@ -215,7 +215,7 @@ Status ServerEngine::Refresh() {
       BinaryReader cfg_reader(*cfg_blob);
       auto config = net::StreamConfig::Decode(cfg_reader);
       if (!config.ok()) continue;
-      auto stream = OpenStream(uuid, *config, /*recover=*/true);
+      auto stream = OpenStream(uuid, *config, Open::kRefresh);
       if (!stream.ok()) {
         TC_LOG_WARN << "refresh: skipping stream " << uuid << ": "
                     << stream.status().ToString();
@@ -399,7 +399,7 @@ Result<Bytes> ServerEngine::CreateStream(BytesView body) {
     return AlreadyExists("stream " + std::to_string(req.uuid));
   }
   TC_ASSIGN_OR_RETURN(auto stream,
-                      OpenStream(req.uuid, req.config, /*recover=*/false));
+                      OpenStream(req.uuid, req.config, Open::kCreate));
   streams_.emplace(req.uuid, std::move(stream));
 
   // Persist the config + directory so a restarted engine recovers the

@@ -142,11 +142,15 @@ class ServerEngine final : public net::RequestHandler {
   /// Rebuild the in-memory stream registry from the store's metadata
   /// directory (constructor path). Logs and skips unrecoverable streams.
   void RecoverStreams() REQUIRES(streams_mu_);
+  /// How OpenStream finds the index position: a new stream starts empty;
+  /// kRecover (engine start) completes a cascade a crash cut short, and
+  /// kRefresh (replica read path) reads without writing to the store.
+  enum class Open { kCreate, kRecover, kRefresh };
   /// Build a Stream (index handle + recovered append position + witness
   /// tree) from a persisted config.
   Result<std::shared_ptr<Stream>> OpenStream(uint64_t uuid,
                                              const net::StreamConfig& config,
-                                             bool recover);
+                                             Open how);
   /// Persist / load the uuid directory under the metadata key.
   Status StoreDirectoryLocked() REQUIRES(streams_mu_);
   /// Persist / load the per-principal grant directory (key store state).

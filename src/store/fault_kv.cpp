@@ -18,11 +18,21 @@ Status FaultKvStore::Fault() const {
 }
 
 Status FaultKvStore::Put(const std::string& key, BytesView value) {
+  TC_RETURN_IF_ERROR(PutFault());
+  return inner_->Put(key, value);
+}
+
+Status FaultKvStore::Append(const std::string& key, BytesView bytes) {
+  TC_RETURN_IF_ERROR(PutFault());
+  return inner_->Append(key, bytes);
+}
+
+Status FaultKvStore::PutFault() {
   if (FailAll() || ShouldFire(put_ops_, options_.fail_every_nth_put)) {
     ++puts_failed_;
     return Fault();
   }
-  return inner_->Put(key, value);
+  return Status::Ok();
 }
 
 Result<Bytes> FaultKvStore::Get(const std::string& key) const {

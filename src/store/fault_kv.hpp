@@ -34,6 +34,8 @@ class FaultKvStore final : public KvStore {
   FaultKvStore(std::shared_ptr<KvStore> inner, FaultOptions options = {});
 
   Status Put(const std::string& key, BytesView value) override;
+  /// Appends are writes: they draw from the put schedule and counters.
+  Status Append(const std::string& key, BytesView bytes) override;
   Result<Bytes> Get(const std::string& key) const override;
   Status Delete(const std::string& key) override;
   bool Contains(const std::string& key) const override;
@@ -60,6 +62,8 @@ class FaultKvStore final : public KvStore {
 
  private:
   Status Fault() const;
+  /// The put schedule's verdict for one write (Put or Append).
+  Status PutFault();
   bool FailAll() const { return fail_all_.load(std::memory_order_acquire); }
 
   std::shared_ptr<KvStore> inner_;

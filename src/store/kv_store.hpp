@@ -32,6 +32,26 @@ class KvStore {
   virtual ~KvStore() = default;
 
   virtual Status Put(const std::string& key, BytesView value) = 0;
+
+  /// Append `bytes` to the value under `key`, creating it when absent. The
+  /// aggregation index persists one entry per call this way (§4.5: the
+  /// tree only ever grows at its rightmost spine). MemKvStore and
+  /// LogKvStore override it with an atomic per-key append. This default
+  /// reads the value and puts it back whole: it is not atomic against a
+  /// concurrent writer of the same key, and it costs a full-value write.
+  /// ReplicatedKvStore keeps the default on purpose — it ships the
+  /// resulting full-value put, which a follower may apply twice safely.
+  virtual Status Append(const std::string& key, BytesView bytes) {
+    Bytes value;
+    if (auto existing = Get(key); existing.ok()) {
+      value = std::move(*existing);
+    } else if (existing.status().code() != StatusCode::kNotFound) {
+      return existing.status();
+    }
+    tc::Append(value, bytes);
+    return Put(key, value);
+  }
+
   virtual Result<Bytes> Get(const std::string& key) const = 0;
   virtual Status Delete(const std::string& key) = 0;
   virtual bool Contains(const std::string& key) const = 0;

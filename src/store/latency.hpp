@@ -22,6 +22,10 @@ class LatencyKvStore final : public KvStore {
     Delay();
     return inner_->Put(key, value);
   }
+  Status Append(const std::string& key, BytesView bytes) override {
+    Delay();
+    return inner_->Append(key, bytes);
+  }
   Result<Bytes> Get(const std::string& key) const override {
     Delay();
     return inner_->Get(key);

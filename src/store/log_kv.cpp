@@ -13,25 +13,37 @@
 namespace tc::store {
 
 namespace {
+// Record types. Every record is `type keylen key [vallen value]`, lengths
+// as varints; a tombstone carries no value.
 constexpr uint8_t kRecordPut = 1;
 constexpr uint8_t kRecordTombstone = 2;
+constexpr uint8_t kRecordAppend = 3;  // value bytes extend the key's value
 
 /// Process-wide log-store op counters (all LogKvStore instances sum into
 /// one family; per-shard splits come from the kClusterInfo gauges).
+/// bytes_written / logical_bytes is the store's write amplification: framed
+/// log bytes (compaction rewrites included) over the key and value bytes
+/// callers handed in.
 struct StoreOps {
   metrics::Counter& puts;
+  metrics::Counter& appends;
   metrics::Counter& gets;
   metrics::Counter& deletes;
   metrics::Counter& syncs;
   metrics::Counter& compactions;
+  metrics::Counter& bytes_written;
+  metrics::Counter& logical_bytes;
 };
 
 StoreOps& Ops() {
   static StoreOps ops{metrics::GetCounter("tc_store_puts_total"),
+                      metrics::GetCounter("tc_store_appends_total"),
                       metrics::GetCounter("tc_store_gets_total"),
                       metrics::GetCounter("tc_store_deletes_total"),
                       metrics::GetCounter("tc_store_syncs_total"),
-                      metrics::GetCounter("tc_store_compactions_total")};
+                      metrics::GetCounter("tc_store_compactions_total"),
+                      metrics::GetCounter("tc_store_bytes_written_total"),
+                      metrics::GetCounter("tc_store_logical_bytes_total")};
   return ops;
 }
 }  // namespace
@@ -89,6 +101,11 @@ Status LogKvStore::Replay() {
       }
       it->second = std::move(*value);
       value_bytes_ += it->second.size();
+    } else if (*type == kRecordAppend) {
+      auto bytes = r.GetBytes();
+      if (!bytes.ok()) break;
+      tc::Append(map_[*key], *bytes);
+      value_bytes_ += bytes->size();
     } else if (*type == kRecordTombstone) {
       auto it = map_.find(*key);
       if (it != map_.end()) {
@@ -117,8 +134,8 @@ Status LogKvStore::TruncateTo(size_t size) {
   return Status::Ok();
 }
 
-Status LogKvStore::AppendRecord(const std::string& key, BytesView value,
-                                bool tombstone) {
+Status LogKvStore::AppendRecord(uint8_t type, const std::string& key,
+                                BytesView value) {
   // A failed compaction can lose the append handle (reopen failed); refuse
   // writes instead of fwrite-ing into a null stream.
   if (log_ == nullptr) {
@@ -126,13 +143,17 @@ Status LogKvStore::AppendRecord(const std::string& key, BytesView value,
                        path_);
   }
   BinaryWriter w(key.size() + value.size() + 16);
-  w.PutU8(tombstone ? kRecordTombstone : kRecordPut);
+  w.PutU8(type);
   w.PutString(key);
-  if (!tombstone) w.PutBytes(value);
+  if (type != kRecordTombstone) w.PutBytes(value);
   if (std::fwrite(w.data().data(), 1, w.size(), log_) != w.size()) {
     return Unavailable("log append failed");
   }
   ++append_seq_;
+  if constexpr (metrics::kEnabled) {
+    Ops().bytes_written.Inc(w.size());
+    Ops().logical_bytes.Inc(key.size() + value.size());
+  }
   return Status::Ok();
 }
 
@@ -163,7 +184,7 @@ void LogKvStore::MaybeAutoCompactLocked() {
 Status LogKvStore::Put(const std::string& key, BytesView value) {
   if constexpr (metrics::kEnabled) Ops().puts.Inc();
   MutexLock lock(mu_);
-  TC_RETURN_IF_ERROR(AppendRecord(key, value, /*tombstone=*/false));
+  TC_RETURN_IF_ERROR(AppendRecord(kRecordPut, key, value));
   auto [it, inserted] = map_.try_emplace(key);
   if (!inserted) {
     dead_bytes_ += it->second.size();
@@ -172,6 +193,15 @@ Status LogKvStore::Put(const std::string& key, BytesView value) {
   it->second.assign(value.begin(), value.end());
   value_bytes_ += value.size();
   MaybeAutoCompactLocked();
+  return Status::Ok();
+}
+
+Status LogKvStore::Append(const std::string& key, BytesView bytes) {
+  if constexpr (metrics::kEnabled) Ops().appends.Inc();
+  MutexLock lock(mu_);
+  TC_RETURN_IF_ERROR(AppendRecord(kRecordAppend, key, bytes));
+  tc::Append(map_[key], bytes);
+  value_bytes_ += bytes.size();
   return Status::Ok();
 }
 
@@ -188,7 +218,7 @@ Status LogKvStore::Delete(const std::string& key) {
   MutexLock lock(mu_);
   auto it = map_.find(key);
   if (it == map_.end()) return NotFound("key not found: " + key);
-  TC_RETURN_IF_ERROR(AppendRecord(key, {}, /*tombstone=*/true));
+  TC_RETURN_IF_ERROR(AppendRecord(kRecordTombstone, key, {}));
   dead_bytes_ += it->second.size();
   value_bytes_ -= it->second.size();
   map_.erase(it);
@@ -240,6 +270,7 @@ Result<size_t> LogKvStore::CompactLocked() {
       std::remove(tmp_path.c_str());
       return Unavailable("compaction write failed");
     }
+    if constexpr (metrics::kEnabled) Ops().bytes_written.Inc(w.size());
   }
   std::fclose(tmp);
   std::fclose(log_);

@@ -25,9 +25,16 @@ struct LogKvOptions {
   size_t compact_min_dead_bytes = 1 << 20;
 };
 
-/// Log-structured store. Writes append `keylen key vallen value` records to
-/// a single log file; Get serves from an in-memory map populated at open.
-/// Deletes append a tombstone. Compact() rewrites the log dropping dead
+/// Log-structured store. Every write appends one framed record
+/// `type keylen key [vallen value]` to a single log file; Get serves from an
+/// in-memory map populated at open. Record types:
+///   1  put        — the value replaces the key's value
+///   2  tombstone  — the key is deleted (no value field)
+///   3  append     — the value bytes extend the key's value (Append)
+/// Replay applies records in log order, so a key's value is its last put
+/// followed by every later append. A torn final record of any type is
+/// dropped whole: a cut append leaves the value as it was before it.
+/// Compact() rewrites the log as one put per live key, dropping dead
 /// records; with LogKvOptions::compact_dead_fraction set it also triggers
 /// automatically once dead bytes dominate.
 class LogKvStore final : public KvStore {
@@ -39,6 +46,8 @@ class LogKvStore final : public KvStore {
   ~LogKvStore() override;
 
   Status Put(const std::string& key, BytesView value) override;
+  /// One type-3 record carrying only `bytes`; atomic per key under mu_.
+  Status Append(const std::string& key, BytesView bytes) override;
   Result<Bytes> Get(const std::string& key) const override;
   Status Delete(const std::string& key) override;
   bool Contains(const std::string& key) const override;
@@ -70,8 +79,8 @@ class LogKvStore final : public KvStore {
   Status Replay() REQUIRES(mu_);
   /// Drop a torn tail discovered during replay (crash-recovery path).
   Status TruncateTo(size_t size);
-  Status AppendRecord(const std::string& key, BytesView value,
-                      bool tombstone) REQUIRES(mu_);
+  Status AppendRecord(uint8_t type, const std::string& key, BytesView value)
+      REQUIRES(mu_);
   /// Compact() body.
   Result<size_t> CompactLocked() REQUIRES(mu_);
   /// Run CompactLocked() if the dead-byte threshold is crossed.

@@ -19,30 +19,31 @@ metrics::Counter& CacheMisses() {
 }
 }  // namespace
 
-void LruCache::Put(const std::string& key, BytesView value) {
+void LruCache::Put(const std::string& key, Value value) {
+  const size_t size = value->size();
   MutexLock lock(mu_);
-  if (value.size() > capacity_) return;
+  if (size > capacity_) return;
   auto it = map_.find(key);
   if (it != map_.end()) {
-    bytes_ -= it->second->value.size();
-    it->second->value.assign(value.begin(), value.end());
-    bytes_ += value.size();
+    bytes_ -= it->second->value->size();
+    it->second->value = std::move(value);
+    bytes_ += size;
     lru_.splice(lru_.begin(), lru_, it->second);
   } else {
-    lru_.push_front(Entry{key, Bytes(value.begin(), value.end())});
+    lru_.push_front(Entry{key, std::move(value)});
     map_[key] = lru_.begin();
-    bytes_ += value.size();
+    bytes_ += size;
   }
   EvictIfNeededLocked();
 }
 
-std::optional<Bytes> LruCache::Get(const std::string& key) {
+LruCache::Value LruCache::Get(const std::string& key) {
   MutexLock lock(mu_);
   auto it = map_.find(key);
   if (it == map_.end()) {
     ++misses_;
     if constexpr (metrics::kEnabled) CacheMisses().Inc();
-    return std::nullopt;
+    return nullptr;
   }
   ++hits_;
   if constexpr (metrics::kEnabled) CacheHits().Inc();
@@ -54,7 +55,7 @@ void LruCache::Erase(const std::string& key) {
   MutexLock lock(mu_);
   auto it = map_.find(key);
   if (it == map_.end()) return;
-  bytes_ -= it->second->value.size();
+  bytes_ -= it->second->value->size();
   lru_.erase(it->second);
   map_.erase(it);
 }
@@ -93,7 +94,7 @@ uint64_t LruCache::misses() const {
 void LruCache::EvictIfNeededLocked() {
   while (bytes_ > capacity_ && !lru_.empty()) {
     Entry& victim = lru_.back();
-    bytes_ -= victim.value.size();
+    bytes_ -= victim.value->size();
     map_.erase(victim.key);
     lru_.pop_back();
   }

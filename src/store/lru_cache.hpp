@@ -1,11 +1,12 @@
 // Byte-budget LRU cache for index nodes (the paper's caffeine cache, §5).
 // The Fig 7 "small cache (1 MB)" experiment shrinks this budget to force
-// cache misses against the backing store.
+// cache misses against the backing store. Values are shared immutable
+// buffers: a hit hands out the cached node itself, not a copy.
 #pragma once
 
 #include <cstdint>
 #include <list>
-#include <optional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -14,17 +15,19 @@
 
 namespace tc::store {
 
-/// Thread-safe LRU keyed by string, holding byte buffers, evicting by total
-/// value-byte budget.
+/// Thread-safe LRU keyed by string, holding shared immutable byte buffers,
+/// evicting by total value-byte budget.
 class LruCache {
  public:
+  using Value = std::shared_ptr<const Bytes>;
+
   explicit LruCache(size_t capacity_bytes) : capacity_(capacity_bytes) {}
 
   /// Insert or refresh. Values larger than the whole budget are not cached.
-  void Put(const std::string& key, BytesView value) EXCLUDES(mu_);
+  void Put(const std::string& key, Value value) EXCLUDES(mu_);
 
-  /// Fetch + mark most recently used.
-  std::optional<Bytes> Get(const std::string& key) EXCLUDES(mu_);
+  /// Fetch + mark most recently used; nullptr on a miss.
+  Value Get(const std::string& key) EXCLUDES(mu_);
 
   void Erase(const std::string& key) EXCLUDES(mu_);
   void Clear() EXCLUDES(mu_);
@@ -37,7 +40,7 @@ class LruCache {
  private:
   struct Entry {
     std::string key;
-    Bytes value;
+    Value value;
   };
 
   void EvictIfNeededLocked() REQUIRES(mu_);

@@ -21,6 +21,14 @@ Status MemKvStore::Put(const std::string& key, BytesView value) {
   return Status::Ok();
 }
 
+Status MemKvStore::Append(const std::string& key, BytesView bytes) {
+  Shard& shard = ShardFor(key);
+  MutexLock lock(shard.mu);
+  tc::Append(shard.map[key], bytes);
+  shard.value_bytes += bytes.size();
+  return Status::Ok();
+}
+
 Result<Bytes> MemKvStore::Get(const std::string& key) const {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);

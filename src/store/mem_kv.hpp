@@ -18,6 +18,7 @@ class MemKvStore final : public KvStore {
   explicit MemKvStore(size_t num_shards = 16);
 
   Status Put(const std::string& key, BytesView value) override;
+  Status Append(const std::string& key, BytesView bytes) override;
   Result<Bytes> Get(const std::string& key) const override;
   Status Delete(const std::string& key) override;
   bool Contains(const std::string& key) const override;

@@ -10,6 +10,10 @@ Status PrefixKvStore::Put(const std::string& key, BytesView value) {
   return backend_->Put(Namespaced(key), value);
 }
 
+Status PrefixKvStore::Append(const std::string& key, BytesView bytes) {
+  return backend_->Append(Namespaced(key), bytes);
+}
+
 Result<Bytes> PrefixKvStore::Get(const std::string& key) const {
   return backend_->Get(Namespaced(key));
 }

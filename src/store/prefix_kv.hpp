@@ -19,6 +19,7 @@ class PrefixKvStore final : public KvStore {
   PrefixKvStore(std::shared_ptr<KvStore> backend, std::string prefix);
 
   Status Put(const std::string& key, BytesView value) override;
+  Status Append(const std::string& key, BytesView bytes) override;
   Result<Bytes> Get(const std::string& key) const override;
   Status Delete(const std::string& key) override;
   bool Contains(const std::string& key) const override;

@@ -206,8 +206,8 @@ TEST(Concurrency, LruCacheParallelMixedWorkload) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 2000; ++i) {
         std::string key = "k" + std::to_string((t * 31 + i) % 128);
-        Bytes value(64, static_cast<uint8_t>(t));
-        cache.Put(key, value);
+        cache.Put(key, std::make_shared<const Bytes>(
+                           64, static_cast<uint8_t>(t)));
         auto got = cache.Get(key);
         // Entry may have been evicted or overwritten by another thread,
         // but a present value must never be torn (all bytes identical).
@@ -235,7 +235,7 @@ TEST(Concurrency, LruCacheStatsCountEveryGet) {
   store::LruCache cache(64 * 1024);
   constexpr int kThreads = 8;
   constexpr int kGetsPerThread = 4000;
-  cache.Put("present", Bytes(16, 0x5a));
+  cache.Put("present", std::make_shared<const Bytes>(16, 0x5a));
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {

@@ -1,12 +1,18 @@
 // Aggregation tree tests: append/cascade correctness, range queries vs a
 // naive scan oracle (property tests over random ranges and fanouts, all
-// four cipher backends), cache behaviour, decay, and complexity bounds.
+// four cipher backends), cache behaviour, decay, complexity bounds, retry
+// and recovery after failed store writes, and bytes written per append.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 
+#include "common/metrics.hpp"
 #include "crypto/rand.hpp"
 #include "index/agg_tree.hpp"
+#include "store/fault_kv.hpp"
+#include "store/log_kv.hpp"
 #include "store/mem_kv.hpp"
 
 namespace tc::index {
@@ -242,6 +248,189 @@ TEST(AggTree, MultiStreamPrefixIsolation) {
   ASSERT_TRUE(b.Append(0, *cipher->Encrypt(std::vector<uint64_t>{9}, 0)).ok());
   EXPECT_EQ((*cipher->Decrypt(*a.Query(0, 1), 0, 1))[0], 5u);
   EXPECT_EQ((*cipher->Decrypt(*b.Query(0, 1), 0, 1))[0], 9u);
+}
+
+// ------------------------------------------------- failed store writes
+
+/// A fanout-4 tree over a FaultKvStore that fails every `nth` write, with a
+/// plaintext prefix-sum oracle over the chunks appended so far.
+struct FaultyTree {
+  explicit FaultyTree(uint64_t nth)
+      : mem(std::make_shared<store::MemKvStore>()),
+        fault(std::make_shared<store::FaultKvStore>(
+            mem, store::FaultOptions{.fail_every_nth_put = nth})),
+        cipher(MakePlainCipher(1)),
+        tree(fault, "s", cipher, AggTreeOptions{4, 1 << 20}) {}
+
+  Bytes Digest(uint64_t i) const {
+    return *cipher->Encrypt(std::vector<uint64_t>{TreeFixture::Value(i)}, i);
+  }
+
+  /// Append chunks [tree.num_chunks(), last), retrying each failed append.
+  void AppendWithRetries(AggTree& t, uint64_t last) {
+    for (uint64_t i = t.num_chunks(); i < last; ++i) {
+      Status s = t.Append(i, Digest(i));
+      for (int retry = 0; !s.ok() && retry < 3; ++retry) {
+        EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.ToString();
+        s = t.Append(i, Digest(i));
+      }
+      ASSERT_TRUE(s.ok()) << "chunk " << i << ": " << s.ToString();
+    }
+  }
+
+  /// Every range of `t` against the oracle.
+  void ExpectAllRangesMatch(const AggTree& t) const {
+    uint64_t n = t.num_chunks();
+    for (uint64_t a = 0; a < n; ++a) {
+      uint64_t expected = 0;
+      for (uint64_t b = a + 1; b <= n; ++b) {
+        expected += TreeFixture::Value(b - 1);
+        auto blob = t.Query(a, b);
+        ASSERT_TRUE(blob.ok()) << "[" << a << "," << b << "): "
+                               << blob.status().ToString();
+        EXPECT_EQ((*cipher->Decrypt(*blob, a, b))[0], expected)
+            << "[" << a << "," << b << ")";
+      }
+    }
+  }
+
+  size_t Entries(const std::string& key) const {
+    auto node = mem->Get(key);
+    return node.ok() ? node->size() / cipher->blob_size() : 0;
+  }
+
+  std::shared_ptr<store::MemKvStore> mem;
+  std::shared_ptr<store::FaultKvStore> fault;
+  std::shared_ptr<const DigestCipher> cipher;
+  AggTree tree;
+};
+
+TEST(AggTree, RetryAfterFailedStoreWriteSucceeds) {
+  // The third store write is chunk 2's leaf entry. The failure must leave
+  // the index able to take chunk 2 again, and later failures alike.
+  FaultyTree f(3);
+  ASSERT_TRUE(f.tree.Append(0, f.Digest(0)).ok());
+  ASSERT_TRUE(f.tree.Append(1, f.Digest(1)).ok());
+  Status s = f.tree.Append(2, f.Digest(2));
+  EXPECT_EQ(s.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(f.tree.num_chunks(), 2u);
+  ASSERT_TRUE(f.tree.Append(2, f.Digest(2)).ok());
+  f.AppendWithRetries(f.tree, 100);
+  EXPECT_GT(f.fault->puts_failed(), 10u);
+  f.ExpectAllRangesMatch(f.tree);
+}
+
+TEST(AggTree, RetryWritesAFailedParentEntryOnce) {
+  // Writes 1-4 are the leaf entries of chunks 0-3; chunk 3 completes node
+  // L0/0, so write 5 is its aggregate in L1/0 — the one that fails.
+  FaultyTree f(5);
+  f.AppendWithRetries(f.tree, 3);
+  EXPECT_EQ(f.tree.Append(3, f.Digest(3)).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(f.Entries("s/L0/0"), 4u);
+  EXPECT_FALSE(f.mem->Contains("s/L1/0"));
+  // A retry with another digest cannot undo the stored leaf entry.
+  EXPECT_EQ(f.tree.Append(3, f.Digest(99)).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(f.tree.Append(3, f.Digest(3)).ok());
+  EXPECT_EQ(f.Entries("s/L0/0"), 4u);
+  EXPECT_EQ(f.Entries("s/L1/0"), 1u);
+
+  f.AppendWithRetries(f.tree, 64);
+  for (uint64_t node = 0; node < 16; ++node) {
+    EXPECT_EQ(f.Entries("s/L0/" + std::to_string(node)), 4u) << node;
+  }
+  for (uint64_t node = 0; node < 4; ++node) {
+    EXPECT_EQ(f.Entries("s/L1/" + std::to_string(node)), 4u) << node;
+  }
+  EXPECT_EQ(f.Entries("s/L2/0"), 4u);
+  EXPECT_EQ(f.Entries("s/L3/0"), 1u);
+  f.ExpectAllRangesMatch(f.tree);
+}
+
+TEST(AggTree, RecoverWritesAMissingParentEntryOnce) {
+  // As above, but the writer stops after the failure (a crash): the store
+  // holds a full L0/0 and no parent entry for it.
+  FaultyTree f(5);
+  f.AppendWithRetries(f.tree, 3);
+  ASSERT_FALSE(f.tree.Append(3, f.Digest(3)).ok());
+  ASSERT_FALSE(f.mem->Contains("s/L1/0"));
+
+  AggTreeOptions opts{4, 1 << 20};
+  AggTree recovered(f.mem, "s", f.cipher, opts);
+  ASSERT_TRUE(recovered.Recover().ok());
+  EXPECT_EQ(recovered.num_chunks(), 4u);
+  EXPECT_EQ(f.Entries("s/L1/0"), 1u);
+
+  AggTree again(f.mem, "s", f.cipher, opts);
+  ASSERT_TRUE(again.Recover().ok());
+  EXPECT_EQ(again.num_chunks(), 4u);
+  EXPECT_EQ(f.Entries("s/L1/0"), 1u);
+
+  f.AppendWithRetries(again, 40);
+  f.ExpectAllRangesMatch(again);
+}
+
+TEST(AggTree, RefreshServesUpToTheLastCompleteCascadeWithoutWriting) {
+  // A replica handle reading the store between chunk 3's leaf entry and
+  // its parent entry serves chunks [0, 3) and must not write the parent
+  // itself: the primary's retry does.
+  FaultyTree f(5);
+  f.AppendWithRetries(f.tree, 3);
+  ASSERT_FALSE(f.tree.Append(3, f.Digest(3)).ok());
+
+  AggTree replica(f.mem, "s", f.cipher, AggTreeOptions{4, 1 << 20});
+  ASSERT_TRUE(replica.Refresh().ok());
+  EXPECT_EQ(replica.num_chunks(), 3u);
+  EXPECT_FALSE(f.mem->Contains("s/L1/0"));
+  f.ExpectAllRangesMatch(replica);
+
+  ASSERT_TRUE(f.tree.Append(3, f.Digest(3)).ok());
+  f.AppendWithRetries(f.tree, 21);
+  ASSERT_TRUE(replica.Refresh().ok());
+  EXPECT_EQ(replica.num_chunks(), 21u);
+  f.ExpectAllRangesMatch(replica);
+}
+
+// ------------------------------------------------------- bytes per append
+
+TEST(AggTree, AppendWritesAboutOneEntryPerChunkToALogStore) {
+  // Each chunk costs one framed leaf entry plus, every k chunks, one entry
+  // per level it completes — never a rewrite of the node it lands in.
+  std::string path = (std::filesystem::temp_directory_path() /
+                      ("tc_agg_tree_bytes_" + std::to_string(::getpid())))
+                         .string();
+  std::remove(path.c_str());
+  constexpr uint64_t kChunks = 10'000;
+  const std::string prefix = "idx/8061249813562788917";
+  auto ggm = std::make_shared<crypto::GgmTree>(crypto::RandomKey128(), 20);
+  auto cipher = std::shared_ptr<const DigestCipher>(MakeHeacCipher(4, ggm));
+  metrics::Counter& written =
+      metrics::GetCounter("tc_store_bytes_written_total");
+  const uint64_t written_before = written.value();
+  {
+    auto log = store::LogKvStore::Open(path);
+    ASSERT_TRUE(log.ok());
+    std::shared_ptr<store::KvStore> kv = std::move(*log);
+    AggTree tree(kv, prefix, cipher, AggTreeOptions{64, 1 << 20});
+    for (uint64_t i = 0; i < kChunks; ++i) {
+      auto blob = cipher->Encrypt(std::vector<uint64_t>{i, 1, i % 7, 3}, i);
+      ASSERT_TRUE(blob.ok());
+      ASSERT_TRUE(tree.Append(i, *blob).ok()) << "chunk " << i;
+    }
+    ASSERT_TRUE(kv->Sync().ok());
+  }
+  const uint64_t file_bytes = std::filesystem::file_size(path);
+  const size_t key_bytes =
+      prefix.size() + std::string("/L0/").size() +
+      std::to_string((kChunks - 1) / 64).size();
+  const double per_append = static_cast<double>(file_bytes) / kChunks;
+  EXPECT_LE(per_append, 2.0 * static_cast<double>(cipher->blob_size() +
+                                                  key_bytes))
+      << "blob " << cipher->blob_size() << " B, key " << key_bytes << " B";
+  if constexpr (metrics::kEnabled) {
+    EXPECT_EQ(written.value() - written_before, file_bytes);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
 // Storage substrate tests: sharded in-memory KV, file-backed log KV with
 // restart/compaction, prefix views, byte-budget LRU cache, latency
-// decorator, and Scan interactions with replication catch-up.
+// decorator, Scan interactions with replication catch-up, and one
+// Put/Append/Delete/Get conformance script run against every store.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <map>
 #include <thread>
 
+#include "crypto/rand.hpp"
 #include "replica/replicated_kv.hpp"
+#include "store/fault_kv.hpp"
 #include "store/latency.hpp"
 #include "store/log_kv.hpp"
 #include "store/lru_cache.hpp"
@@ -243,50 +248,54 @@ TEST_F(LogKvTest, ToleratesTornTailWrite) {
   EXPECT_FALSE((*kv)->Contains("torn"));
 }
 
+LruCache::Value Buf(Bytes bytes) {
+  return std::make_shared<const Bytes>(std::move(bytes));
+}
+
 TEST(LruCacheTest, HitAndMissCounting) {
   LruCache cache(1024);
-  cache.Put("a", ToBytes("1"));
-  EXPECT_TRUE(cache.Get("a").has_value());
-  EXPECT_FALSE(cache.Get("b").has_value());
+  cache.Put("a", Buf(ToBytes("1")));
+  EXPECT_NE(cache.Get("a"), nullptr);
+  EXPECT_EQ(cache.Get("b"), nullptr);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
   LruCache cache(30);
-  cache.Put("a", Bytes(10, 1));
-  cache.Put("b", Bytes(10, 2));
-  cache.Put("c", Bytes(10, 3));
+  cache.Put("a", Buf(Bytes(10, 1)));
+  cache.Put("b", Buf(Bytes(10, 2)));
+  cache.Put("c", Buf(Bytes(10, 3)));
   // Touch "a" so "b" becomes the LRU victim.
-  EXPECT_TRUE(cache.Get("a").has_value());
-  cache.Put("d", Bytes(10, 4));
-  EXPECT_TRUE(cache.Get("a").has_value());
-  EXPECT_FALSE(cache.Get("b").has_value());
-  EXPECT_TRUE(cache.Get("c").has_value());
-  EXPECT_TRUE(cache.Get("d").has_value());
+  EXPECT_NE(cache.Get("a"), nullptr);
+  cache.Put("d", Buf(Bytes(10, 4)));
+  EXPECT_NE(cache.Get("a"), nullptr);
+  EXPECT_EQ(cache.Get("b"), nullptr);
+  EXPECT_NE(cache.Get("c"), nullptr);
+  EXPECT_NE(cache.Get("d"), nullptr);
 }
 
 TEST(LruCacheTest, OversizedValueNotCached) {
   LruCache cache(8);
-  cache.Put("big", Bytes(100, 0));
-  EXPECT_FALSE(cache.Get("big").has_value());
+  cache.Put("big", Buf(Bytes(100, 0)));
+  EXPECT_EQ(cache.Get("big"), nullptr);
   EXPECT_EQ(cache.size_bytes(), 0u);
 }
 
 TEST(LruCacheTest, UpdateRefreshesSizeAccounting) {
   LruCache cache(100);
-  cache.Put("k", Bytes(50, 0));
-  cache.Put("k", Bytes(10, 0));
+  cache.Put("k", Buf(Bytes(50, 0)));
+  cache.Put("k", Buf(Bytes(10, 0)));
   EXPECT_EQ(cache.size_bytes(), 10u);
   EXPECT_EQ(cache.entry_count(), 1u);
 }
 
 TEST(LruCacheTest, EraseAndClear) {
   LruCache cache(100);
-  cache.Put("a", Bytes(10, 0));
-  cache.Put("b", Bytes(10, 0));
+  cache.Put("a", Buf(Bytes(10, 0)));
+  cache.Put("b", Buf(Bytes(10, 0)));
   cache.Erase("a");
-  EXPECT_FALSE(cache.Get("a").has_value());
+  EXPECT_EQ(cache.Get("a"), nullptr);
   cache.Clear();
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.size_bytes(), 0u);
@@ -413,6 +422,189 @@ TEST_F(LogKvTest, CompactionDuringFollowerCatchUpKeepsStoresIdentical) {
   }
   std::filesystem::remove(follower_path);
 }
+
+TEST_F(LogKvTest, TornAppendRecordReadsAsBeforeTheAppend) {
+  std::string path = path_.string();
+  size_t before = 0;
+  {
+    auto kv = LogKvStore::Open(path);
+    ASSERT_TRUE(kv.ok());
+    ASSERT_TRUE((*kv)->Put("k", ToBytes("base")).ok());
+    ASSERT_TRUE((*kv)->Append("k", ToBytes("-one")).ok());
+    ASSERT_TRUE((*kv)->Put("other", ToBytes("x")).ok());
+    ASSERT_TRUE((*kv)->Sync().ok());
+    before = std::filesystem::file_size(path_);
+    ASSERT_TRUE((*kv)->Append("k", ToBytes("-two")).ok());
+    ASSERT_TRUE((*kv)->Sync().ok());
+  }
+  std::string full;
+  {
+    std::ifstream in(path, std::ios::binary);
+    full.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(full.size(), before);
+  // Every cut inside the final append record drops the record whole.
+  for (size_t cut = before; cut < full.size(); ++cut) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(full.data(), static_cast<std::streamsize>(cut));
+    }
+    auto kv = LogKvStore::Open(path);
+    ASSERT_TRUE(kv.ok()) << "cut at " << cut;
+    EXPECT_EQ(ToString(*(*kv)->Get("k")), "base-one") << "cut at " << cut;
+    EXPECT_EQ(ToString(*(*kv)->Get("other")), "x") << "cut at " << cut;
+  }
+  // The torn tail was truncated away, so a new append replays after it.
+  {
+    auto kv = LogKvStore::Open(path);
+    ASSERT_TRUE(kv.ok());
+    ASSERT_TRUE((*kv)->Append("k", ToBytes("-again")).ok());
+    ASSERT_TRUE((*kv)->Sync().ok());
+  }
+  auto kv = LogKvStore::Open(path);
+  ASSERT_TRUE(kv.ok());
+  EXPECT_EQ(ToString(*(*kv)->Get("k")), "base-one-again");
+}
+
+// ------------------------------------------------------------ conformance
+
+/// One store under test. The script runs against `kv`; `settle` then
+/// returns the store whose contents must equal the reference — after a
+/// compaction, a reopen or a follower catch-up, depending on the case.
+struct StoreUnderTest {
+  std::shared_ptr<KvStore> kv;
+  std::function<std::shared_ptr<KvStore>(std::shared_ptr<KvStore>)> settle =
+      [](std::shared_ptr<KvStore> kv) { return kv; };
+};
+
+struct ConformanceCase {
+  const char* name;
+  std::function<StoreUnderTest(const std::string& path)> open;
+};
+
+void PrintTo(const ConformanceCase& c, std::ostream* os) { *os << c.name; }
+
+std::shared_ptr<KvStore> OpenLog(const std::string& path) {
+  auto log = LogKvStore::Open(path);
+  EXPECT_TRUE(log.ok()) << log.status().ToString();
+  return log.ok() ? std::shared_ptr<KvStore>(std::move(*log)) : nullptr;
+}
+
+const ConformanceCase kConformanceCases[] = {
+    {"Mem", [](const std::string&) {
+       return StoreUnderTest{std::make_shared<MemKvStore>()};
+     }},
+    {"Log", [](const std::string& path) {
+       return StoreUnderTest{OpenLog(path)};
+     }},
+    {"LogCompacted",
+     [](const std::string& path) {
+       return StoreUnderTest{OpenLog(path), [](std::shared_ptr<KvStore> kv) {
+                               auto* log = static_cast<LogKvStore*>(kv.get());
+                               EXPECT_TRUE(log->Compact().ok());
+                               return kv;
+                             }};
+     }},
+    {"LogReopened",
+     [](const std::string& path) {
+       return StoreUnderTest{OpenLog(path),
+                             [path](std::shared_ptr<KvStore> kv) {
+                               EXPECT_TRUE(kv->Sync().ok());
+                               kv.reset();  // close before replaying
+                               return OpenLog(path);
+                             }};
+     }},
+    {"Prefix", [](const std::string&) {
+       return StoreUnderTest{std::make_shared<PrefixKvStore>(
+           std::make_shared<MemKvStore>(), "view/")};
+     }},
+    {"Fault", [](const std::string&) {
+       return StoreUnderTest{
+           std::make_shared<FaultKvStore>(std::make_shared<MemKvStore>())};
+     }},
+    {"Latency0", [](const std::string&) {
+       return StoreUnderTest{std::make_shared<LatencyKvStore>(
+           std::make_shared<MemKvStore>(), std::chrono::microseconds(0))};
+     }},
+    {"Replicated",
+     [](const std::string&) {
+       auto follower = std::make_shared<MemKvStore>();
+       auto rkv = std::make_shared<replica::ReplicatedKvStore>(
+           std::make_shared<MemKvStore>());
+       rkv->AddFollower(std::make_shared<replica::LocalFollower>(follower));
+       return StoreUnderTest{rkv, [follower](std::shared_ptr<KvStore> kv) {
+                               auto* rkv = static_cast<
+                                   replica::ReplicatedKvStore*>(kv.get());
+                               EXPECT_TRUE(rkv->WaitCaughtUp().ok());
+                               EXPECT_EQ(ScanAll(*follower), ScanAll(*rkv));
+                               return kv;
+                             }};
+     }},
+};
+
+class KvConformance : public ::testing::TestWithParam<ConformanceCase> {};
+
+TEST_P(KvConformance, MatchesMapReference) {
+  std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("tc_conformance_" + std::to_string(::getpid()) + "_" +
+       GetParam().name);
+  std::filesystem::remove(path);
+  StoreUnderTest sut = GetParam().open(path.string());
+  ASSERT_NE(sut.kv, nullptr);
+
+  std::map<std::string, std::string> ref;
+  crypto::DeterministicRng rng(2024);
+  auto random_bytes = [&](uint64_t max_len) {
+    std::string out(rng.NextBelow(max_len + 1), '\0');
+    for (char& c : out) c = static_cast<char>('a' + rng.NextBelow(26));
+    return out;
+  };
+  for (int op = 0; op < 800; ++op) {
+    std::string key = "k" + std::to_string(rng.NextBelow(6));
+    switch (rng.NextBelow(10)) {
+      case 0: case 1: case 2: {
+        std::string value = random_bytes(40);
+        ASSERT_TRUE(sut.kv->Put(key, ToBytes(value)).ok());
+        ref[key] = value;
+        break;
+      }
+      case 3: case 4: case 5: {
+        std::string bytes = random_bytes(12);
+        ASSERT_TRUE(sut.kv->Append(key, ToBytes(bytes)).ok());
+        ref[key] += bytes;
+        break;
+      }
+      case 6: {
+        Status s = sut.kv->Delete(key);
+        EXPECT_EQ(s.ok(), ref.erase(key) == 1) << "op " << op;
+        break;
+      }
+      default: {
+        auto got = sut.kv->Get(key);
+        auto it = ref.find(key);
+        ASSERT_EQ(got.ok(), it != ref.end()) << "op " << op << " " << key;
+        if (got.ok()) EXPECT_EQ(ToString(*got), it->second) << "op " << op;
+      }
+    }
+  }
+  std::shared_ptr<KvStore> settled = sut.settle(std::move(sut.kv));
+  ASSERT_NE(settled, nullptr);
+  EXPECT_EQ(ScanAll(*settled), ref);
+  for (const auto& [key, value] : ref) {
+    auto got = settled->Get(key);
+    ASSERT_TRUE(got.ok()) << key;
+    EXPECT_EQ(ToString(*got), value);
+  }
+  settled.reset();
+  std::filesystem::remove(path);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Stores, KvConformance, ::testing::ValuesIn(kConformanceCases),
+    [](const ::testing::TestParamInfo<ConformanceCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(LatencyKvTest, DelegatesAndCounts) {
   auto inner = std::make_shared<MemKvStore>();
