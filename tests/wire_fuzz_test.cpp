@@ -10,6 +10,8 @@
 #include "crypto/rand.hpp"
 #include "net/messages.hpp"
 #include "net/wire.hpp"
+#include "server/server_engine.hpp"
+#include "store/mem_kv.hpp"
 
 namespace tc::net {
 namespace {
@@ -282,6 +284,362 @@ std::vector<Bytes> ValidEncodings() {
   grant.tokens.push_back({3, 1, crypto::Key128{}});
   out.push_back(grant.Encode());
   return out;
+}
+
+/// Decode with T's own decoder, then encode again.
+template <class T>
+Result<Bytes> Reencode(BytesView in) {
+  TC_ASSIGN_OR_RETURN(auto msg, T::Decode(in));
+  return msg.Encode();
+}
+
+struct GoldenEncoding {
+  const char* name;
+  const char* hex;
+  std::function<Result<Bytes>(BytesView)> reencode;
+};
+
+/// The exact bytes of each ValidEncodings() entry, in the same order. Peers
+/// of different versions exchange these frames, so any change here is a
+/// wire-format break, not a refactor.
+std::vector<GoldenEncoding> GoldenEncodings() {
+  return {
+      {"CreateStream",
+       "07000000000000000b66757a7a2f73747265616d000000000000000010270000"
+       "000000002801010000000000000000000060ea00000000000004000000000000"
+       "000000000001000000000000000100400000000100",
+       Reencode<CreateStreamRequest>},
+      {"DeleteStream",
+       "0700000000000000",
+       Reencode<DeleteStreamRequest>},
+      {"InsertChunk",
+       "0700000000000000030000000000000006646967657374077061796c6f6164",
+       Reencode<InsertChunkRequest>},
+      {"GetRange",
+       "07000000000000006400000000000000c800000000000000",
+       Reencode<GetRangeRequest>},
+      {"GetRangeResponse",
+       "020100000000000000076368756e6b2d310200000000000000076368756e6b2d"
+       "32",
+       Reencode<GetRangeResponse>},
+      {"StatRange",
+       "07000000000000006400000000000000c800000000000000",
+       Reencode<StatRangeRequest>},
+      {"StatRangeResponse",
+       "0100000000000000050000000000000009616767726567617465",
+       Reencode<StatRangeResponse>},
+      {"StatSeries",
+       "07000000000000000000000000000000f4010000000000000400000000000000",
+       Reencode<StatSeriesRequest>},
+      {"StatSeriesResponse",
+       "00000000000000000000000000000000040000000000000002027730027731",
+       Reencode<StatSeriesResponse>},
+      {"MultiStatRange",
+       "0301000000000000000200000000000000030000000000000000000000000000"
+       "006400000000000000",
+       Reencode<MultiStatRangeRequest>},
+      {"RollupStream",
+       "0700000000000000080000000000000006000000000000000000000000000000"
+       "0000000000000000",
+       Reencode<RollupStreamRequest>},
+      {"DeleteRange",
+       "070000000000000000000000000000006400000000000000",
+       Reencode<DeleteRangeRequest>},
+      {"StreamInfoResponse",
+       "0b66757a7a2f73747265616d0000000000000000102700000000000028010100"
+       "00000000000000000060ea000000000000040000000000000000000000010000"
+       "000000000001004000000001002a00000000000000",
+       Reencode<StreamInfoResponse>},
+      {"PutGrant",
+       "070000000000000005616c6963650100000000000000067365616c6564",
+       Reencode<PutGrantRequest>},
+      {"FetchGrants",
+       "05616c696365",
+       Reencode<FetchGrantsRequest>},
+      {"FetchGrantsResponse",
+       "0107000000000000000100000000000000067365616c6564",
+       Reencode<FetchGrantsResponse>},
+      {"RevokeGrant",
+       "070000000000000005616c6963650100000000000000",
+       Reencode<RevokeGrantRequest>},
+      {"PutEnvelopes",
+       "0700000000000000060000000000000000000000000000000204656e76300465"
+       "6e7631",
+       Reencode<PutEnvelopesRequest>},
+      {"GetEnvelopes",
+       "0700000000000000060000000000000000000000000000000a00000000000000",
+       Reencode<GetEnvelopesRequest>},
+      {"GetEnvelopesResponse",
+       "00000000000000000103656e76",
+       Reencode<GetEnvelopesResponse>},
+      {"ResponseBody",
+       "00007061796c6f6164",
+       [](BytesView in) -> Result<Bytes> {
+         TC_ASSIGN_OR_RETURN(Bytes payload, DecodeResponseBody(in));
+         return EncodeResponseBody(Status::Ok(), payload);
+       }},
+      {"PutAttestation",
+       "07000000000000000b6174746573746174696f6e",
+       Reencode<PutAttestationRequest>},
+      {"GetAttestation",
+       "0700000000000000",
+       Reencode<GetAttestationRequest>},
+      {"GetChunkWitnessed",
+       "0700000000000000000000000000000008000000000000000800000000000000",
+       Reencode<GetChunkWitnessedRequest>},
+      {"GetChunkWitnessedResponse",
+       "01030000000000000006646967657374077061796c6f61640570726f6f66",
+       Reencode<GetChunkWitnessedResponse>},
+      {"InsertChunkBatch",
+       "0700000000000000030000000000000000086469676573742d30097061796c6f"
+       "61642d300100000000000000086469676573742d310005000000000000000864"
+       "69676573742d35097061796c6f61642d35",
+       Reencode<InsertChunkBatchRequest>},
+      {"ClusterInfoResponse",
+       "0200000000030000000000000000100000000000000200000001050000000000"
+       "0000000000000000000000000000000000000000000000000000000000000001"
+       "0000000200000000000000000800000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000",
+       Reencode<ClusterInfoResponse>},
+      {"ReplicaOps",
+       "020000000c000000000000000201096368756e6b2f372f30067365616c656402"
+       "096368756e6b2f372f3100",
+       Reencode<ReplicaOpsRequest>},
+      {"ReplicaSnapshotBegin",
+       "02000000ff0e0000000000000d00000000000000",
+       Reencode<ReplicaSnapshotBeginRequest>},
+      {"ReplicaSnapshotChunk",
+       "020000000d000000000000000500000000000000020c6d6574612f7374726561"
+       "6d7303646972096368756e6b2f372f30067365616c6564",
+       Reencode<ReplicaSnapshotChunkRequest>},
+      {"ReplicaSnapshotEnd",
+       "020000000d000000000000000700000000000000",
+       Reencode<ReplicaSnapshotEndRequest>},
+      {"ReplicaSnapshotAck",
+       "0700000000000000",
+       Reencode<ReplicaSnapshotAckResponse>},
+      {"ReplicaAck",
+       "0d00000000000000",
+       Reencode<ReplicaAckResponse>},
+      {"ReplicaHello",
+       "02000000040000000d00000000000000edfe000000000000093132372e302e30"
+       "2e3152110000",
+       Reencode<ReplicaHelloRequest>},
+      {"ReplicaHelloResponse",
+       "1500000000000000f4010000",
+       Reencode<ReplicaHelloResponse>},
+      {"ReplicaHeartbeat",
+       "02000000150000000000000002093132372e302e302e31521100000d00000000"
+       "000000093132372e302e302e31531100001500000000000000",
+       Reencode<ReplicaHeartbeatRequest>},
+      {"MetricsInfoResponse",
+       "03001874635f7365727665725f72657175657374735f746f74616c0b74797065"
+       "3d2270696e67222a00000000000000000000000000011374635f6e65745f7365"
+       "727665725f636f6e6e7300ffffffffffffffff000000000000021974635f7365"
+       "727665725f726571756573745f7365636f6e64730b747970653d2270696e6722"
+       "ffffffffffffffff2ae807630f3f3f",
+       Reencode<MetricsInfoResponse>},
+      {"TraceInfo",
+       "341200000000000001",
+       Reencode<TraceInfoRequest>},
+      {"TraceInfoResponse",
+       "023412000000000000030000000000000001000000000000000f726f75746572"
+       "5f64697370617463680bffffffff00401e18240a0600ac060134120000000000"
+       "00050000000000000003000000000000000a737461745f72616e67650b010000"
+       "0000401e18240a0600ac060009",
+       Reencode<TraceInfoResponse>},
+      {"EventsInfo",
+       "1100000000000000",
+       Reencode<EventsInfoRequest>},
+      {"EventsInfoResponse",
+       "0215000000000000000068e5cf8b0100000e73656c665f70726f6d6f74696f6e"
+       "000000001d3132372e302e302e313a343433342073696c656e745f6d733d3330"
+       "30301600000000000000fa68e5cf8b0100001270726f6d6f74696f6e5f636f6d"
+       "706c65746500000000183132372e302e302e313a343433342073747265616d73"
+       "3d3302",
+       Reencode<EventsInfoResponse>},
+      {"AccessGrant",
+       "070000000000000001000000000000000008000000000000000a000000010300"
+       "0000010000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "000000000000000000000000000000000000",
+       Reencode<client::AccessGrant>},
+  };
+}
+
+TEST(WireGolden, ValidEncodingsMatchCapturedBytesAndRoundTrip) {
+  auto encodings = ValidEncodings();
+  auto golden = GoldenEncodings();
+  ASSERT_EQ(encodings.size(), golden.size());
+  for (size_t i = 0; i < encodings.size(); ++i) {
+    EXPECT_EQ(ToHex(encodings[i]), golden[i].hex) << golden[i].name;
+    auto again = golden[i].reencode(encodings[i]);
+    ASSERT_TRUE(again.ok()) << golden[i].name << ": "
+                            << again.status().ToString();
+    EXPECT_EQ(ToHex(*again), golden[i].hex) << golden[i].name;
+  }
+}
+
+TEST(WireGolden, PersistedStreamConfigBytesAreStable) {
+  // CreateStream persists the config under meta/cfg/<uuid>; a restarted
+  // server decodes it from there, so these bytes are durable state.
+  StreamConfig config;
+  config.name = "golden/cfg";
+  config.t0 = 1'700'000'000'000;
+  config.delta_ms = 5'000;
+  config.schema.with_sumsq = true;
+  config.schema.hist_bins = 3;
+  config.schema.hist_min = -10;
+  config.schema.hist_width = 7;
+  config.cipher = CipherKind::kHeac;
+  config.cipher_public = ToBytes("pub");
+  config.fanout = 8;
+  config.compression = 2;
+  config.integrity = true;
+  auto kv = std::make_shared<store::MemKvStore>();
+  server::ServerEngine engine(kv);
+  ASSERT_TRUE(engine
+                  .Handle(MessageType::kCreateStream,
+                          CreateStreamRequest{42, config}.Encode())
+                  .ok());
+  auto persisted = kv->Get("meta/cfg/42");
+  ASSERT_TRUE(persisted.ok());
+  const std::string golden =
+      "0a676f6c64656e2f6366670068e5cf8b01000088130000000000002801010100"
+      "000000000000000060ea00000000000003000000f6ffffffffffffff07000000"
+      "000000000103707562080000000201";
+  EXPECT_EQ(ToHex(*persisted), golden);
+
+  // Decode then encode reproduces it, here inside the info reply that
+  // carries a config followed by a u64 chunk count.
+  Bytes info = *persisted;
+  for (int i = 0; i < 8; ++i) info.push_back(0);
+  auto decoded = StreamInfoResponse::Decode(info);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->config, config);
+  EXPECT_EQ(ToHex(decoded->Encode()), ToHex(info));
+}
+
+template <class T>
+Status DecodeStatus(BytesView in) {
+  return T::Decode(in).status();
+}
+
+struct ValidatorCase {
+  const char* name;
+  std::function<Status(BytesView)> decode;
+  Bytes valid;    // the full message before the one-field change
+  Bytes invalid;  // the same message breaking exactly one invariant
+  const char* message;
+};
+
+std::vector<ValidatorCase> ValidatorCases() {
+  std::vector<ValidatorCase> out;
+
+  InsertChunkBatchRequest batch;
+  batch.uuid = 7;
+  batch.entries = {{3, ToBytes("d3"), ToBytes("p3")},
+                   {4, ToBytes("d4"), ToBytes("p4")},
+                   {9, ToBytes("d9"), {}}};
+  InsertChunkBatchRequest repeated = batch;
+  repeated.entries[2].chunk_index = 4;
+  out.push_back({"batch indices strictly increase",
+                 DecodeStatus<InsertChunkBatchRequest>, batch.Encode(),
+                 repeated.Encode(),
+                 "batch chunk indices must strictly increase"});
+
+  ClusterInfoResponse cluster;
+  cluster.shards.push_back({0, 3, 4096, 2, ClusterInfoResponse::kAckQuorum,
+                            5, 1, 1, 2, 640, 1024, 3});
+  cluster.shards.push_back({1, 2, 2048});
+  ClusterInfoResponse bad_ack = cluster;
+  bad_ack.shards[1].ack_mode = 2;
+  out.push_back({"ack_mode <= 1", DecodeStatus<ClusterInfoResponse>,
+                 cluster.Encode(), bad_ack.Encode(),
+                 "unknown replica ack mode"});
+  ClusterInfoResponse bad_failover = cluster;
+  bad_failover.shards[1].auto_failover = 2;
+  out.push_back({"auto_failover <= 1", DecodeStatus<ClusterInfoResponse>,
+                 cluster.Encode(), bad_failover.Encode(),
+                 "auto_failover is a boolean flag"});
+
+  MetricsInfoResponse metrics;
+  metrics.entries.resize(2);
+  metrics.entries[0].name = "tc_a_total";
+  metrics.entries[1].kind = MetricsInfoResponse::kHistogram;
+  metrics.entries[1].name = "tc_b_seconds";
+  metrics.entries[1].count = 4;
+  MetricsInfoResponse bad_kind = metrics;
+  bad_kind.entries[1].kind = 3;
+  out.push_back({"metric kind <= 2", DecodeStatus<MetricsInfoResponse>,
+                 metrics.Encode(), bad_kind.Encode(), "unknown metric kind"});
+
+  out.push_back({"slow_only <= 1", DecodeStatus<TraceInfoRequest>,
+                 TraceInfoRequest{0x1234, 1}.Encode(),
+                 TraceInfoRequest{0x1234, 2}.Encode(),
+                 "slow_only is a boolean flag"});
+
+  TraceInfoResponse spans;
+  spans.spans.resize(2);
+  spans.spans[0].op = "a";
+  spans.spans[1].op = "b";
+  spans.spans[1].slow = 1;
+  spans.dropped = 4;
+  TraceInfoResponse bad_slow = spans;
+  bad_slow.spans[1].slow = 2;
+  out.push_back({"span slow <= 1", DecodeStatus<TraceInfoResponse>,
+                 spans.Encode(), bad_slow.Encode(), "slow is a boolean flag"});
+
+  ReplicaOpsRequest ops;
+  ops.shard = 1;
+  ops.first_seq = 5;
+  ops.ops = {{kReplicaOpPut, "k1", ToBytes("v")},
+             {kReplicaOpDelete, "k2", {}}};
+  ReplicaOpsRequest bad_op = ops;
+  bad_op.ops[1].kind = 3;
+  out.push_back({"op kind is put or delete", DecodeStatus<ReplicaOpsRequest>,
+                 ops.Encode(), bad_op.Encode(), "unknown replica op kind"});
+  ReplicaOpsRequest delete_value = ops;
+  delete_value.ops[1].value = ToBytes("v");
+  out.push_back({"delete carries no value", DecodeStatus<ReplicaOpsRequest>,
+                 ops.Encode(), delete_value.Encode(),
+                 "replica delete carries a value"});
+
+  ReplicaHelloRequest hello;
+  hello.shard = 2;
+  hello.num_shards = 4;
+  hello.applied_seq = 13;
+  hello.store_fingerprint = 0xfeed;
+  hello.host = "127.0.0.1";
+  hello.port = 65535;
+  auto hello_with = [&](auto change) {
+    ReplicaHelloRequest h = hello;
+    change(h);
+    return h.Encode();
+  };
+  out.push_back({"hello num_shards > 0", DecodeStatus<ReplicaHelloRequest>,
+                 hello.Encode(),
+                 hello_with([](auto& h) { h.shard = 0, h.num_shards = 0; }),
+                 "replica hello shard id outside its shard count"});
+  out.push_back({"hello shard < num_shards", DecodeStatus<ReplicaHelloRequest>,
+                 hello.Encode(), hello_with([](auto& h) { h.shard = 4; }),
+                 "replica hello shard id outside its shard count"});
+  out.push_back({"hello port > 0", DecodeStatus<ReplicaHelloRequest>,
+                 hello.Encode(), hello_with([](auto& h) { h.port = 0; }),
+                 "replica hello carries an invalid port"});
+  out.push_back({"hello port <= 65535", DecodeStatus<ReplicaHelloRequest>,
+                 hello.Encode(), hello_with([](auto& h) { h.port = 65536; }),
+                 "replica hello carries an invalid port"});
+  return out;
+}
+
+TEST(WireGolden, EachValidatorRejectsItsInvariant) {
+  for (const auto& c : ValidatorCases()) {
+    EXPECT_TRUE(c.decode(c.valid).ok()) << c.name;
+    Status s = c.decode(c.invalid);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << c.name;
+    EXPECT_EQ(s.message(), c.message) << c.name;
+  }
 }
 
 TEST(WireFuzz, EveryDecoderSurvivesTruncationOfValidMessages) {
