@@ -1,15 +1,30 @@
-// Typed request/response messages for TimeCrypt's API (Table 1), with
-// binary codecs. Each struct has Encode()/Decode() so both transports and
-// tests can round-trip them.
+// Typed request/response messages for TimeCrypt's API (Table 1). Each
+// message describes its wire layout once, as a field list; net/codec.hpp
+// derives Encode()/Decode() from it, so both transports and tests can
+// round-trip every message.
+//
+// Adding a message:
+//   1. Declare the struct with its fields (plain aggregate: no base class,
+//      no constructors, so `Foo{a, b}` initialization keeps working).
+//   2. Add `template <class V> void Fields(V& v) { v(a, b, ...); }` naming
+//      every wire field in wire order; wrap varint u64s as `Var{x}`. Nested
+//      element structs get their own Fields() and nothing else.
+//   3. For invariants the bytes alone cannot express (enum ranges, ordering),
+//      add `Status Validate() const`; Decode runs it after the struct's
+//      fields are read and fails with its status.
+//   4. Add `TC_WIRE_MESSAGE(Foo)` for Encode()/Decode(), a MessageType in
+//      net/wire.hpp if it is a new frame, and a fuzz case plus a golden
+//      encoding in tests/wire_fuzz_test.cpp.
+// Reordering or retyping a field changes the bytes on the wire and in
+// persisted StreamConfigs; the golden-bytes test catches it.
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
-#include "common/io.hpp"
 #include "common/time.hpp"
 #include "index/digest.hpp"
+#include "net/codec.hpp"
 #include "net/wire.hpp"
 
 namespace tc::net {
@@ -41,8 +56,12 @@ struct StreamConfig {
   // one SHA-256 per chunk to the ingest path).
   bool integrity = false;
 
-  void Encode(BinaryWriter& w) const;
-  static Result<StreamConfig> Decode(BinaryReader& r);
+  template <class V>
+  void Fields(V& v) {
+    v(name, t0, delta_ms, schema, cipher, cipher_public, fanout, compression,
+      integrity);
+  }
+  TC_WIRE_MESSAGE(StreamConfig)
 
   friend bool operator==(const StreamConfig&, const StreamConfig&) = default;
 };
@@ -51,15 +70,17 @@ struct CreateStreamRequest {
   uint64_t uuid = 0;
   StreamConfig config;
 
-  Bytes Encode() const;
-  static Result<CreateStreamRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid, config); }
+  TC_WIRE_MESSAGE(CreateStreamRequest)
 };
 
 struct DeleteStreamRequest {
   uint64_t uuid = 0;
 
-  Bytes Encode() const;
-  static Result<DeleteStreamRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid); }
+  TC_WIRE_MESSAGE(DeleteStreamRequest)
 };
 
 struct InsertChunkRequest {
@@ -68,8 +89,9 @@ struct InsertChunkRequest {
   Bytes digest_blob;   // encrypted digest for the index
   Bytes payload;       // sealed compressed points (may be empty: digest-only)
 
-  Bytes Encode() const;
-  static Result<InsertChunkRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid, chunk_index, digest_blob, payload); }
+  TC_WIRE_MESSAGE(InsertChunkRequest)
 };
 
 /// Batched single-stream ingest (§4.6 scalability): many sealed chunks in
@@ -82,12 +104,27 @@ struct InsertChunkBatchRequest {
     uint64_t chunk_index = 0;
     Bytes digest_blob;
     Bytes payload;
+
+    template <class V>
+    void Fields(V& v) { v(chunk_index, digest_blob, payload); }
   };
   uint64_t uuid = 0;
   std::vector<Entry> entries;
 
-  Bytes Encode() const;
-  static Result<InsertChunkBatchRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid, entries); }
+  /// Append-only invariant: indices strictly increase within a batch.
+  /// Overlapping or reordered entries are a malformed frame, not a
+  /// server-side state error.
+  Status Validate() const {
+    for (size_t i = 1; i < entries.size(); ++i) {
+      if (entries[i].chunk_index <= entries[i - 1].chunk_index) {
+        return InvalidArgument("batch chunk indices must strictly increase");
+      }
+    }
+    return Status::Ok();
+  }
+  TC_WIRE_MESSAGE(InsertChunkBatchRequest)
 };
 
 /// Per-shard stream counts, index sizes, and replication health (cluster
@@ -121,11 +158,28 @@ struct ClusterInfoResponse {
     // for volatile stores.
     uint64_t store_dead_bytes = 0;
     uint32_t store_compactions = 0;
+
+    template <class V>
+    void Fields(V& v) {
+      v(shard, num_streams, index_bytes, replicas, ack_mode, max_lag_ops,
+        remote_followers, auto_failover, promotions, snapshot_chunks,
+        store_dead_bytes, store_compactions);
+    }
+    Status Validate() const {
+      if (ack_mode > kAckQuorum) {
+        return InvalidArgument("unknown replica ack mode");
+      }
+      if (auto_failover > 1) {
+        return InvalidArgument("auto_failover is a boolean flag");
+      }
+      return Status::Ok();
+    }
   };
   std::vector<ShardInfo> shards;
 
-  Bytes Encode() const;
-  static Result<ClusterInfoResponse> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(shards); }
+  TC_WIRE_MESSAGE(ClusterInfoResponse)
 };
 
 /// Snapshot of the process-wide metrics registry (kMetricsInfo; request body
@@ -146,14 +200,25 @@ struct MetricsInfoResponse {
     uint64_t sum = 0;
     uint64_t max = 0;
     uint64_t p50 = 0, p95 = 0, p99 = 0;
+
+    template <class V>
+    void Fields(V& v) {
+      v(kind, name, labels, value, Var{count}, Var{sum}, Var{max}, Var{p50},
+        Var{p95}, Var{p99});
+    }
+    Status Validate() const {
+      if (kind > kHistogram) return InvalidArgument("unknown metric kind");
+      return Status::Ok();
+    }
   };
   std::vector<Entry> entries;
 
   /// Snapshot every metric the registry holds (empty under TC_METRICS=OFF).
   static MetricsInfoResponse FromRegistry();
 
-  Bytes Encode() const;
-  static Result<MetricsInfoResponse> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(entries); }
+  TC_WIRE_MESSAGE(MetricsInfoResponse)
 };
 
 /// Drain the process-wide span ring (kTraceInfo). `trace_id != 0` filters to
@@ -162,8 +227,13 @@ struct TraceInfoRequest {
   uint64_t trace_id = 0;
   uint8_t slow_only = 0;
 
-  Bytes Encode() const;
-  static Result<TraceInfoRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(trace_id, slow_only); }
+  Status Validate() const {
+    if (slow_only > 1) return InvalidArgument("slow_only is a boolean flag");
+    return Status::Ok();
+  }
+  TC_WIRE_MESSAGE(TraceInfoRequest)
 };
 
 struct TraceInfoResponse {
@@ -177,6 +247,16 @@ struct TraceInfoResponse {
     int64_t start_us = 0;          // wall clock, us since the Unix epoch
     uint64_t duration_us = 0;
     uint8_t slow = 0;
+
+    template <class V>
+    void Fields(V& v) {
+      v(trace_id, span_id, parent_span_id, op, msg_type, shard, start_us,
+        Var{duration_us}, slow);
+    }
+    Status Validate() const {
+      if (slow > 1) return InvalidArgument("slow is a boolean flag");
+      return Status::Ok();
+    }
   };
   std::vector<Span> spans;
   uint64_t dropped = 0;  // spans evicted by ring wrap since process start
@@ -184,8 +264,9 @@ struct TraceInfoResponse {
   /// Snapshot the process ring, applying the request's filters.
   static TraceInfoResponse FromRing(const TraceInfoRequest& req);
 
-  Bytes Encode() const;
-  static Result<TraceInfoResponse> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(spans, Var{dropped}); }
+  TC_WIRE_MESSAGE(TraceInfoResponse)
 };
 
 /// Structured event journal query (kEventsInfo): lifecycle events with
@@ -193,8 +274,9 @@ struct TraceInfoResponse {
 struct EventsInfoRequest {
   uint64_t min_seq = 0;
 
-  Bytes Encode() const;
-  static Result<EventsInfoRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(min_seq); }
+  TC_WIRE_MESSAGE(EventsInfoRequest)
 };
 
 struct EventsInfoResponse {
@@ -204,6 +286,9 @@ struct EventsInfoResponse {
     std::string kind;     // snake_case event class
     uint32_t shard = 0;
     std::string detail;
+
+    template <class V>
+    void Fields(V& v) { v(seq, wall_ms, kind, shard, detail); }
   };
   std::vector<Event> events;
   uint64_t dropped = 0;  // events evicted by the capacity bound
@@ -211,35 +296,42 @@ struct EventsInfoResponse {
   /// Snapshot the process journal from min_seq.
   static EventsInfoResponse FromJournal(const EventsInfoRequest& req);
 
-  Bytes Encode() const;
-  static Result<EventsInfoResponse> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(events, Var{dropped}); }
+  TC_WIRE_MESSAGE(EventsInfoResponse)
 };
 
 struct GetRangeRequest {
   uint64_t uuid = 0;
   TimeRange range;
 
-  Bytes Encode() const;
-  static Result<GetRangeRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid, range); }
+  TC_WIRE_MESSAGE(GetRangeRequest)
 };
 
 struct GetRangeResponse {
   struct ChunkData {
     uint64_t chunk_index = 0;
     Bytes payload;
+
+    template <class V>
+    void Fields(V& v) { v(chunk_index, payload); }
   };
   std::vector<ChunkData> chunks;
 
-  Bytes Encode() const;
-  static Result<GetRangeResponse> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(chunks); }
+  TC_WIRE_MESSAGE(GetRangeResponse)
 };
 
 struct StatRangeRequest {
   uint64_t uuid = 0;
   TimeRange range;
 
-  Bytes Encode() const;
-  static Result<StatRangeRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid, range); }
+  TC_WIRE_MESSAGE(StatRangeRequest)
 };
 
 /// Aggregate over [first_chunk, last_chunk) — the decryptor needs the chunk
@@ -249,8 +341,9 @@ struct StatRangeResponse {
   uint64_t last_chunk = 0;
   Bytes aggregate_blob;
 
-  Bytes Encode() const;
-  static Result<StatRangeResponse> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(first_chunk, last_chunk, aggregate_blob); }
+  TC_WIRE_MESSAGE(StatRangeResponse)
 };
 
 /// Series of fixed-granularity aggregates (visualization / Fig 8 views):
@@ -260,8 +353,9 @@ struct StatSeriesRequest {
   TimeRange range;
   uint64_t granularity_chunks = 1;
 
-  Bytes Encode() const;
-  static Result<StatSeriesRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid, range, granularity_chunks); }
+  TC_WIRE_MESSAGE(StatSeriesRequest)
 };
 
 struct StatSeriesResponse {
@@ -270,8 +364,11 @@ struct StatSeriesResponse {
   uint64_t granularity_chunks = 1;
   std::vector<Bytes> aggregates;  // consecutive windows
 
-  Bytes Encode() const;
-  static Result<StatSeriesResponse> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) {
+    v(first_chunk, last_chunk, granularity_chunks, aggregates);
+  }
+  TC_WIRE_MESSAGE(StatSeriesResponse)
 };
 
 /// Inter-stream aggregate (§4.3): server sums the per-stream aggregates;
@@ -280,8 +377,9 @@ struct MultiStatRangeRequest {
   std::vector<uint64_t> uuids;
   TimeRange range;
 
-  Bytes Encode() const;
-  static Result<MultiStatRangeRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuids, range); }
+  TC_WIRE_MESSAGE(MultiStatRangeRequest)
 };
 
 struct RollupStreamRequest {
@@ -290,24 +388,39 @@ struct RollupStreamRequest {
   uint64_t granularity_chunks = 0;  // aggregation factor
   TimeRange range;               // segment to roll up ({0,0} = everything)
 
-  Bytes Encode() const;
-  static Result<RollupStreamRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(source_uuid, target_uuid, granularity_chunks, range); }
+  TC_WIRE_MESSAGE(RollupStreamRequest)
+};
+
+/// Reply to kRollupStream: the aligned source chunk range [first_chunk,
+/// last_chunk) the derived stream covers, so the owner can map derived
+/// chunk indices back to source keystream positions.
+struct RollupStreamResponse {
+  uint64_t first_chunk = 0;
+  uint64_t last_chunk = 0;
+
+  template <class V>
+  void Fields(V& v) { v(first_chunk, last_chunk); }
+  TC_WIRE_MESSAGE(RollupStreamResponse)
 };
 
 struct DeleteRangeRequest {
   uint64_t uuid = 0;
   TimeRange range;
 
-  Bytes Encode() const;
-  static Result<DeleteRangeRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid, range); }
+  TC_WIRE_MESSAGE(DeleteRangeRequest)
 };
 
 struct StreamInfoResponse {
   StreamConfig config;
   uint64_t num_chunks = 0;
 
-  Bytes Encode() const;
-  static Result<StreamInfoResponse> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(config, num_chunks); }
+  TC_WIRE_MESSAGE(StreamInfoResponse)
 };
 
 // ------------------------------------------------------------- key store
@@ -320,15 +433,17 @@ struct PutGrantRequest {
   uint64_t grant_id = 0;
   Bytes sealed_grant;
 
-  Bytes Encode() const;
-  static Result<PutGrantRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid, principal_id, grant_id, sealed_grant); }
+  TC_WIRE_MESSAGE(PutGrantRequest)
 };
 
 struct FetchGrantsRequest {
   std::string principal_id;
 
-  Bytes Encode() const;
-  static Result<FetchGrantsRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(principal_id); }
+  TC_WIRE_MESSAGE(FetchGrantsRequest)
 };
 
 struct FetchGrantsResponse {
@@ -336,11 +451,15 @@ struct FetchGrantsResponse {
     uint64_t uuid = 0;
     uint64_t grant_id = 0;
     Bytes sealed_grant;
+
+    template <class V>
+    void Fields(V& v) { v(uuid, grant_id, sealed_grant); }
   };
   std::vector<Entry> grants;
 
-  Bytes Encode() const;
-  static Result<FetchGrantsResponse> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(grants); }
+  TC_WIRE_MESSAGE(FetchGrantsResponse)
 };
 
 struct RevokeGrantRequest {
@@ -348,8 +467,9 @@ struct RevokeGrantRequest {
   std::string principal_id;
   uint64_t grant_id = 0;  // 0 = all grants of this principal on this stream
 
-  Bytes Encode() const;
-  static Result<RevokeGrantRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid, principal_id, grant_id); }
+  TC_WIRE_MESSAGE(RevokeGrantRequest)
 };
 
 /// Resolution-keystream envelopes (§4.4.2): enc_k̄j(k_{j·r}) blobs stored
@@ -360,8 +480,9 @@ struct PutEnvelopesRequest {
   uint64_t first_index = 0;
   std::vector<Bytes> envelopes;
 
-  Bytes Encode() const;
-  static Result<PutEnvelopesRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid, resolution_chunks, first_index, envelopes); }
+  TC_WIRE_MESSAGE(PutEnvelopesRequest)
 };
 
 struct GetEnvelopesRequest {
@@ -370,16 +491,18 @@ struct GetEnvelopesRequest {
   uint64_t first_index = 0;
   uint64_t last_index = 0;  // inclusive
 
-  Bytes Encode() const;
-  static Result<GetEnvelopesRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid, resolution_chunks, first_index, last_index); }
+  TC_WIRE_MESSAGE(GetEnvelopesRequest)
 };
 
 struct GetEnvelopesResponse {
   uint64_t first_index = 0;
   std::vector<Bytes> envelopes;
 
-  Bytes Encode() const;
-  static Result<GetEnvelopesResponse> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(first_index, envelopes); }
+  TC_WIRE_MESSAGE(GetEnvelopesResponse)
 };
 
 // ---------------------------------------------------- integrity extension
@@ -391,16 +514,18 @@ struct PutAttestationRequest {
   uint64_t uuid = 0;
   Bytes attestation;
 
-  Bytes Encode() const;
-  static Result<PutAttestationRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid, attestation); }
+  TC_WIRE_MESSAGE(PutAttestationRequest)
 };
 
 /// Fetch the latest attestation published for a stream.
 struct GetAttestationRequest {
   uint64_t uuid = 0;
 
-  Bytes Encode() const;
-  static Result<GetAttestationRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid); }
+  TC_WIRE_MESSAGE(GetAttestationRequest)
 };
 
 /// Witnessed chunk read: chunks [first_chunk, last_chunk) together with
@@ -412,8 +537,9 @@ struct GetChunkWitnessedRequest {
   uint64_t last_chunk = 0;
   uint64_t at_size = 0;
 
-  Bytes Encode() const;
-  static Result<GetChunkWitnessedRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(uuid, first_chunk, last_chunk, at_size); }
+  TC_WIRE_MESSAGE(GetChunkWitnessedRequest)
 };
 
 struct GetChunkWitnessedResponse {
@@ -422,11 +548,15 @@ struct GetChunkWitnessedResponse {
     Bytes digest_blob;
     Bytes payload;
     Bytes proof;  // integrity::AuditPath wire encoding
+
+    template <class V>
+    void Fields(V& v) { v(chunk_index, digest_blob, payload, proof); }
   };
   std::vector<Entry> entries;
 
-  Bytes Encode() const;
-  static Result<GetChunkWitnessedResponse> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(entries); }
+  TC_WIRE_MESSAGE(GetChunkWitnessedResponse)
 };
 
 // ---------------------------------------------------- replication extension
@@ -449,14 +579,26 @@ struct ReplicaOpsRequest {
     std::string key;
     Bytes value;  // empty for deletes
 
+    template <class V>
+    void Fields(V& v) { v(kind, key, value); }
+    Status Validate() const {
+      if (kind != kReplicaOpPut && kind != kReplicaOpDelete) {
+        return InvalidArgument("unknown replica op kind");
+      }
+      if (kind == kReplicaOpDelete && !value.empty()) {
+        return InvalidArgument("replica delete carries a value");
+      }
+      return Status::Ok();
+    }
     friend bool operator==(const Op&, const Op&) = default;
   };
   uint32_t shard = 0;
   uint64_t first_seq = 0;
   std::vector<Op> ops;
 
-  Bytes Encode() const;
-  static Result<ReplicaOpsRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(shard, first_seq, ops); }
+  TC_WIRE_MESSAGE(ReplicaOpsRequest)
 };
 
 // Chunked snapshot catch-up: Begin pins the snapshot's sequence number,
@@ -478,8 +620,9 @@ struct ReplicaSnapshotBeginRequest {
   uint64_t origin = 0;
   uint64_t seq = 0;
 
-  Bytes Encode() const;
-  static Result<ReplicaSnapshotBeginRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(shard, origin, seq); }
+  TC_WIRE_MESSAGE(ReplicaSnapshotBeginRequest)
 };
 
 struct ReplicaSnapshotChunkRequest {
@@ -489,8 +632,9 @@ struct ReplicaSnapshotChunkRequest {
   uint64_t first_index = 0;
   std::vector<std::pair<std::string, Bytes>> entries;
 
-  Bytes Encode() const;
-  static Result<ReplicaSnapshotChunkRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(shard, seq, first_index, entries); }
+  TC_WIRE_MESSAGE(ReplicaSnapshotChunkRequest)
 };
 
 struct ReplicaSnapshotEndRequest {
@@ -499,8 +643,9 @@ struct ReplicaSnapshotEndRequest {
   /// Total entries shipped; the applier cross-checks its received count.
   uint64_t total_entries = 0;
 
-  Bytes Encode() const;
-  static Result<ReplicaSnapshotEndRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(shard, seq, total_entries); }
+  TC_WIRE_MESSAGE(ReplicaSnapshotEndRequest)
 };
 
 /// Reply to SnapshotBegin (entries = resume point: how many stream entries
@@ -509,16 +654,18 @@ struct ReplicaSnapshotEndRequest {
 struct ReplicaSnapshotAckResponse {
   uint64_t entries = 0;
 
-  Bytes Encode() const;
-  static Result<ReplicaSnapshotAckResponse> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(entries); }
+  TC_WIRE_MESSAGE(ReplicaSnapshotAckResponse)
 };
 
 /// Follower's reply to kReplicaOps / kReplicaSnapshotEnd / kReplicaHeartbeat.
 struct ReplicaAckResponse {
   uint64_t applied_seq = 0;
 
-  Bytes Encode() const;
-  static Result<ReplicaAckResponse> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(applied_seq); }
+  TC_WIRE_MESSAGE(ReplicaAckResponse)
 };
 
 /// Follower-daemon registration, sent by the follower to the primary's
@@ -539,16 +686,29 @@ struct ReplicaHelloRequest {
   std::string host;
   uint32_t port = 0;
 
-  Bytes Encode() const;
-  static Result<ReplicaHelloRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) {
+    v(shard, num_shards, applied_seq, store_fingerprint, host, port);
+  }
+  Status Validate() const {
+    if (num_shards == 0 || shard >= num_shards) {
+      return InvalidArgument("replica hello shard id outside its shard count");
+    }
+    if (port == 0 || port > 65535) {
+      return InvalidArgument("replica hello carries an invalid port");
+    }
+    return Status::Ok();
+  }
+  TC_WIRE_MESSAGE(ReplicaHelloRequest)
 };
 
 struct ReplicaHelloResponse {
   uint64_t head_seq = 0;       // primary's current head for the shard
   uint32_t heartbeat_ms = 0;   // primary's heartbeat cadence
 
-  Bytes Encode() const;
-  static Result<ReplicaHelloResponse> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(head_seq, heartbeat_ms); }
+  TC_WIRE_MESSAGE(ReplicaHelloResponse)
 };
 
 /// Primary → follower liveness beacon carrying the shard's group view:
@@ -561,14 +721,17 @@ struct ReplicaHeartbeatRequest {
     uint32_t port = 0;
     uint64_t applied_seq = 0;
 
+    template <class V>
+    void Fields(V& v) { v(host, port, applied_seq); }
     friend bool operator==(const Peer&, const Peer&) = default;
   };
   uint32_t shard = 0;
   uint64_t head_seq = 0;
   std::vector<Peer> peers;
 
-  Bytes Encode() const;
-  static Result<ReplicaHeartbeatRequest> Decode(BytesView in);
+  template <class V>
+  void Fields(V& v) { v(shard, head_seq, peers); }
+  TC_WIRE_MESSAGE(ReplicaHeartbeatRequest)
 };
 
 }  // namespace tc::net

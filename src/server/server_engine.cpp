@@ -16,6 +16,8 @@ using net::MessageType;
 namespace {
 constexpr const char kDirectoryKey[] = "meta/streams";
 constexpr const char kGrantDirectoryKey[] = "meta/grantdir";
+/// Largest index fanout CreateStream accepts (the repo uses 4, 8 and 64).
+constexpr uint32_t kMaxFanout = 1024;
 
 std::string ConfigKey(uint64_t uuid) {
   return "meta/cfg/" + std::to_string(uuid);
@@ -50,16 +52,15 @@ RequestMetrics& MetricsFor(MessageType type) {
   return (*table)[idx];
 }
 
-/// Stage-split histograms for the slow-op breakdown (decode/store/index/
-/// crypto/sync on ingest, decode/index on queries).
-enum class Stage { kDecode, kStore, kIndex, kCrypto, kSync };
+/// Stage-split histograms for the slow-op breakdown (decode/index/sync on
+/// ingest, decode/index or decode/store on queries).
+enum class Stage { kDecode, kStore, kIndex, kSync };
 
 metrics::LatencyHistogram& StageHist(Stage stage) {
   static metrics::LatencyHistogram* hists[] = {
       &metrics::GetHistogram("tc_server_stage_seconds", "stage=\"decode\""),
       &metrics::GetHistogram("tc_server_stage_seconds", "stage=\"store\""),
       &metrics::GetHistogram("tc_server_stage_seconds", "stage=\"index\""),
-      &metrics::GetHistogram("tc_server_stage_seconds", "stage=\"crypto\""),
       &metrics::GetHistogram("tc_server_stage_seconds", "stage=\"sync\""),
   };
   return *hists[static_cast<size_t>(stage)];
@@ -93,8 +94,7 @@ void ServerEngine::RecoverStreams() {
     if (!uuid.ok()) return;
     auto cfg_blob = kv_->Get(ConfigKey(*uuid));
     if (!cfg_blob.ok()) continue;
-    BinaryReader cfg_reader(*cfg_blob);
-    auto config = net::StreamConfig::Decode(cfg_reader);
+    auto config = net::StreamConfig::Decode(*cfg_blob);
     if (!config.ok()) continue;
     auto stream = OpenStream(*uuid, *config, Open::kRecover);
     if (!stream.ok()) {
@@ -212,8 +212,7 @@ Status ServerEngine::Refresh() {
       if (streams_.contains(uuid)) continue;
       auto cfg_blob = kv_->Get(ConfigKey(uuid));
       if (!cfg_blob.ok()) continue;  // directory shipped before the config
-      BinaryReader cfg_reader(*cfg_blob);
-      auto config = net::StreamConfig::Decode(cfg_reader);
+      auto config = net::StreamConfig::Decode(*cfg_blob);
       if (!config.ok()) continue;
       auto stream = OpenStream(uuid, *config, Open::kRefresh);
       if (!stream.ok()) {
@@ -258,8 +257,8 @@ Result<Bytes> ServerEngine::Handle(MessageType type, BytesView body) {
   switch (type) {
     case MessageType::kCreateStream: return CreateStream(body);
     case MessageType::kDeleteStream: return DeleteStream(body);
-    case MessageType::kInsertChunk: return InsertChunk(body);
-    case MessageType::kInsertChunkBatch: return InsertChunkBatch(body);
+    case MessageType::kInsertChunk:
+    case MessageType::kInsertChunkBatch: return InsertChunkBatch(type, body);
     case MessageType::kClusterInfo: return ClusterInfo();
     case MessageType::kGetRange: return GetRange(body);
     case MessageType::kGetStatRange: return GetStatRange(body);
@@ -393,6 +392,13 @@ Result<Bytes> ServerEngine::CreateStream(BytesView body) {
   if (req.config.delta_ms <= 0) {
     return InvalidArgument("chunk interval must be positive");
   }
+  // The index divides chunk positions by the fanout and sizes its nodes by
+  // it: fanout 0 would fault on the first insert, fanout 1 never closes a
+  // node, and a huge one exhausts memory on the first append.
+  if (req.config.fanout < 2 || req.config.fanout > kMaxFanout) {
+    return InvalidArgument("index fanout must be in 2.." +
+                           std::to_string(kMaxFanout));
+  }
 
   WriterMutexLock lock(streams_mu_);
   if (streams_.contains(req.uuid)) {
@@ -404,9 +410,7 @@ Result<Bytes> ServerEngine::CreateStream(BytesView body) {
 
   // Persist the config + directory so a restarted engine recovers the
   // stream from a durable store.
-  BinaryWriter cfg;
-  req.config.Encode(cfg);
-  TC_RETURN_IF_ERROR(kv_->Put(ConfigKey(req.uuid), cfg.data()));
+  TC_RETURN_IF_ERROR(kv_->Put(ConfigKey(req.uuid), req.config.Encode()));
   TC_RETURN_IF_ERROR(StoreDirectoryLocked());
   return Bytes{};
 }
@@ -441,91 +445,64 @@ Result<Bytes> ServerEngine::DeleteStream(BytesView body) {
   return Bytes{};
 }
 
-Result<Bytes> ServerEngine::InsertChunk(BytesView body) {
-  TC_ASSIGN_OR_RETURN(auto req, net::InsertChunkRequest::Decode(body));
-  TC_ASSIGN_OR_RETURN(auto stream, FindStream(req.uuid));
-  metrics::TraceSpan::StageMark("decode", &StageHist(Stage::kDecode));
-
-  {
-    WriterMutexLock lock(stream->mu);
-    // The append-only position check runs before any store write: a
-    // rejected insert (duplicate or gapped index) must not clobber a
-    // committed chunk's stored ciphertext.
-    if (req.chunk_index != stream->tree->num_chunks()) {
-      return FailedPrecondition(
-          "append-only index: expected chunk " +
-          std::to_string(stream->tree->num_chunks()) + ", got " +
-          std::to_string(req.chunk_index));
-    }
-    // Payload before index append: any store state where the index shows
-    // chunk n also holds n's payload. Replicas and crash recovery see
-    // mutation prefixes, and the reverse order would let them serve an
-    // index position whose payload never arrived. (A payload orphaned by
-    // an append failure is overwritten on retry.)
-    if (!req.payload.empty()) {
-      TC_RETURN_IF_ERROR(
-          kv_->Put(ChunkKey(req.uuid, req.chunk_index), req.payload));
-    }
-    metrics::TraceSpan::StageMark("store", &StageHist(Stage::kStore));
-    TC_RETURN_IF_ERROR(stream->tree->Append(req.chunk_index, req.digest_blob));
-    metrics::TraceSpan::StageMark("index", &StageHist(Stage::kIndex));
-    if (stream->witnesses) {
-      // Mirror the producer's witness so audit paths can be served. The
-      // producer computes the same hash over the same ciphertext bytes; any
-      // later divergence is exactly what verification catches.
-      stream->witnesses->Append(integrity::ChunkWitness(
-          req.uuid, req.chunk_index, req.digest_blob, req.payload));
-      metrics::TraceSpan::StageMark("crypto", &StageHist(Stage::kCrypto));
-    }
+Result<Bytes> ServerEngine::InsertChunkBatch(MessageType type, BytesView body) {
+  net::InsertChunkBatchRequest req;
+  if (type == MessageType::kInsertChunk) {
+    // A single-chunk insert is a batch of one.
+    TC_ASSIGN_OR_RETURN(auto one, net::InsertChunkRequest::Decode(body));
+    req.uuid = one.uuid;
+    req.entries.push_back({one.chunk_index, std::move(one.digest_blob),
+                           std::move(one.payload)});
+  } else {
+    TC_ASSIGN_OR_RETURN(req, net::InsertChunkBatchRequest::Decode(body));
+    if (req.entries.empty()) return InvalidArgument("empty chunk batch");
   }
-  // Durability flush outside the stream lock: fsync under stream->mu would
-  // stall every reader and the next insert behind the disk (tc_analyze B1).
-  // The ack-after-flush contract is unchanged — we reply only after Sync —
-  // and the group-committing Sync covers this insert's appends even when a
-  // later insert slips in between unlock and flush.
-  if (options_.sync_each_insert) {
-    TC_RETURN_IF_ERROR(kv_->Sync());
-    metrics::TraceSpan::StageMark("sync", &StageHist(Stage::kSync));
-  }
-  return Bytes{};
-}
-
-Result<Bytes> ServerEngine::InsertChunkBatch(BytesView body) {
-  TC_ASSIGN_OR_RETURN(auto req, net::InsertChunkBatchRequest::Decode(body));
-  if (req.entries.empty()) return InvalidArgument("empty chunk batch");
   TC_ASSIGN_OR_RETURN(auto stream, FindStream(req.uuid));
   metrics::TraceSpan::StageMark("decode", &StageHist(Stage::kDecode));
 
   // One lock acquisition, one (group-committed) store sync for the whole
-  // batch — the amortization InsertChunkBatch exists for. The batch is not
-  // atomic: on a mid-batch error the already-appended prefix stays (same
-  // observable state as the equivalent InsertChunk sequence failing there).
+  // batch — the amortization batching exists for. The batch is not atomic:
+  // on a mid-batch error the already-appended prefix stays (same observable
+  // state as the equivalent sequence of single inserts failing there).
   {
     WriterMutexLock lock(stream->mu);
     for (const auto& e : req.entries) {
-      // Position check before the payload write — see InsertChunk.
+      // The append-only position check runs before any store write: a
+      // rejected insert (duplicate or gapped index) must not clobber a
+      // committed chunk's stored ciphertext.
       if (e.chunk_index != stream->tree->num_chunks()) {
         return FailedPrecondition(
             "append-only index: expected chunk " +
             std::to_string(stream->tree->num_chunks()) + ", got " +
             std::to_string(e.chunk_index));
       }
-      // Payload before index append — see InsertChunk.
+      // Payload before index append: any store state where the index shows
+      // chunk n also holds n's payload. Replicas and crash recovery see
+      // mutation prefixes, and the reverse order would let them serve an
+      // index position whose payload never arrived. (A payload orphaned by
+      // an append failure is overwritten on retry.)
       if (!e.payload.empty()) {
         TC_RETURN_IF_ERROR(
             kv_->Put(ChunkKey(req.uuid, e.chunk_index), e.payload));
       }
       TC_RETURN_IF_ERROR(stream->tree->Append(e.chunk_index, e.digest_blob));
       if (stream->witnesses) {
+        // Mirror the producer's witness so audit paths can be served. The
+        // producer computes the same hash over the same ciphertext bytes;
+        // any later divergence is exactly what verification catches.
         stream->witnesses->Append(integrity::ChunkWitness(
             req.uuid, e.chunk_index, e.digest_blob, e.payload));
       }
     }
-    // The batch interleaves store puts and index appends; the loop reports
-    // as one "index" stage (the split is visible on the InsertChunk path).
+    // Store puts, index appends and witness hashes interleave per chunk;
+    // the loop reports as one "index" stage.
     metrics::TraceSpan::StageMark("index", &StageHist(Stage::kIndex));
   }
-  // Flush outside the stream lock — see InsertChunk.
+  // Durability flush outside the stream lock: fsync under stream->mu would
+  // stall every reader and the next insert behind the disk (tc_analyze B1).
+  // The ack-after-flush contract is unchanged — we reply only after Sync —
+  // and the group-committing Sync covers this batch's appends even when a
+  // later insert slips in between unlock and flush.
   if (options_.sync_each_insert) {
     TC_RETURN_IF_ERROR(kv_->Sync());
     metrics::TraceSpan::StageMark("sync", &StageHist(Stage::kSync));
@@ -712,12 +689,7 @@ Result<Bytes> ServerEngine::RollupStream(BytesView body) {
                         source->tree->Query(w, w + req.granularity_chunks));
     TC_RETURN_IF_ERROR(target->tree->Append(out_index++, blob));
   }
-  // Report the aligned source chunk range so the owner can map derived
-  // chunk indices back to source keystream positions.
-  BinaryWriter w;
-  w.PutU64(first);
-  w.PutU64(last);
-  return std::move(w).Take();
+  return net::RollupStreamResponse{first, last}.Encode();
 }
 
 Result<Bytes> ServerEngine::DeleteRange(BytesView body) {

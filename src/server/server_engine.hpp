@@ -117,8 +117,8 @@ class ServerEngine final : public net::RequestHandler {
   // Request handlers (one per message type).
   Result<Bytes> CreateStream(BytesView body);
   Result<Bytes> DeleteStream(BytesView body);
-  Result<Bytes> InsertChunk(BytesView body);
-  Result<Bytes> InsertChunkBatch(BytesView body);
+  /// kInsertChunk (decoded as a batch of one) and kInsertChunkBatch.
+  Result<Bytes> InsertChunkBatch(net::MessageType type, BytesView body);
   Result<Bytes> ClusterInfo() const;
   Result<Bytes> GetRange(BytesView body) const;
   Result<Bytes> GetStatRange(BytesView body) const;

@@ -83,6 +83,31 @@ TEST_F(ServerTest, RejectsZeroDeltaAndEmptySchema) {
   EXPECT_FALSE(Create(2, no_fields).ok());
 }
 
+TEST_F(ServerTest, RejectsFanoutOutsideIndexBounds) {
+  // Fanout 0 divides by zero on the first insert, 1 never closes a node,
+  // and a huge one exhausts memory: CreateStream refuses them up front.
+  uint64_t uuid = 1;
+  for (uint32_t fanout : {0u, 1u, 1025u, 0xffffffffu}) {
+    auto config = PlainConfig();
+    config.fanout = fanout;
+    EXPECT_EQ(Create(uuid++, config).code(), StatusCode::kInvalidArgument)
+        << "fanout " << fanout;
+  }
+  EXPECT_EQ(engine_->NumStreams(), 0u);
+
+  for (uint32_t fanout : {2u, 1024u}) {
+    auto config = PlainConfig();
+    config.fanout = fanout;
+    ASSERT_TRUE(Create(uuid, config).ok()) << "fanout " << fanout;
+    for (uint64_t c = 0; c < 5; ++c) ASSERT_TRUE(Insert(uuid, c, c + 1).ok());
+    auto resp = Query(uuid, {0, 5'000});
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(DecodeSum(*resp), 15u);
+    ++uuid;
+  }
+  EXPECT_EQ(engine_->NumStreams(), 2u);
+}
+
 TEST_F(ServerTest, InsertAndQueryRoundTrip) {
   ASSERT_TRUE(Create(1, PlainConfig()).ok());
   for (uint64_t c = 0; c < 10; ++c) {

@@ -48,6 +48,8 @@ std::vector<NamedDecoder> AllDecoders() {
        [](BytesView in) { return MultiStatRangeRequest::Decode(in).ok(); }},
       {"RollupStream",
        [](BytesView in) { return RollupStreamRequest::Decode(in).ok(); }},
+      {"RollupStreamResponse",
+       [](BytesView in) { return RollupStreamResponse::Decode(in).ok(); }},
       {"DeleteRange",
        [](BytesView in) { return DeleteRangeRequest::Decode(in).ok(); }},
       {"StreamInfoResponse",
@@ -150,6 +152,7 @@ std::vector<Bytes> ValidEncodings() {
   out.push_back(sr.Encode());
   out.push_back(MultiStatRangeRequest{{1, 2, 3}, {0, 100}}.Encode());
   out.push_back(RollupStreamRequest{7, 8, 6, {0, 0}}.Encode());
+  out.push_back(RollupStreamResponse{6, 30}.Encode());
   out.push_back(DeleteRangeRequest{7, {0, 100}}.Encode());
   out.push_back(StreamInfoResponse{config, 42}.Encode());
   out.push_back(PutGrantRequest{7, "alice", 1, ToBytes("sealed")}.Encode());
@@ -342,6 +345,9 @@ std::vector<GoldenEncoding> GoldenEncodings() {
        "0700000000000000080000000000000006000000000000000000000000000000"
        "0000000000000000",
        Reencode<RollupStreamRequest>},
+      {"RollupStreamResponse",
+       "06000000000000001e00000000000000",
+       Reencode<RollupStreamResponse>},
       {"DeleteRange",
        "070000000000000000000000000000006400000000000000",
        Reencode<DeleteRangeRequest>},

@@ -119,7 +119,7 @@ inline Status SaveStreamState(const std::string& state_dir,
   BinaryWriter w;
   w.PutU64(s.uuid);
   w.PutRaw(s.master_seed);
-  s.config.Encode(w);
+  w.PutRaw(s.config.Encode());
   std::ofstream out(StreamStatePath(state_dir, s.uuid), std::ios::binary);
   if (!out) return Unavailable("cannot write stream state file");
   out.write(reinterpret_cast<const char*>(w.data().data()),
@@ -141,7 +141,8 @@ inline Result<StreamState> LoadStreamState(const std::string& state_dir,
   TC_ASSIGN_OR_RETURN(s.uuid, r.GetU64());
   TC_ASSIGN_OR_RETURN(BytesView seed, r.GetRaw(s.master_seed.size()));
   std::copy(seed.begin(), seed.end(), s.master_seed.begin());
-  TC_ASSIGN_OR_RETURN(s.config, net::StreamConfig::Decode(r));
+  TC_ASSIGN_OR_RETURN(BytesView config, r.GetRaw(r.remaining()));
+  TC_ASSIGN_OR_RETURN(s.config, net::StreamConfig::Decode(config));
   return s;
 }
 
