@@ -258,8 +258,8 @@ Result<T> Decode(BytesView in) {
 }  // namespace tc::net
 
 /// The Encode()/Decode() pair of a wire message, derived from its Fields().
-#define TC_WIRE_MESSAGE(Type)                                        \
+#define TC_WIRE_MESSAGE(Type)                                          \
   ::tc::Bytes Encode() const { return ::tc::net::codec::Encode(*this); } \
-  static ::tc::Result<Type> Decode(::tc::BytesView in) {             \
-    return ::tc::net::codec::Decode<Type>(in);                       \
+  static ::tc::Result<Type> Decode(::tc::BytesView in) {                 \
+    return ::tc::net::codec::Decode<Type>(in);                           \
   }

@@ -16,7 +16,7 @@ using net::MessageType;
 namespace {
 constexpr const char kDirectoryKey[] = "meta/streams";
 constexpr const char kGrantDirectoryKey[] = "meta/grantdir";
-/// Largest index fanout CreateStream accepts (the repo uses 4, 8 and 64).
+/// Largest index fanout a stream may be opened with; 4 to 64 are typical.
 constexpr uint32_t kMaxFanout = 1024;
 
 std::string ConfigKey(uint64_t uuid) {
@@ -108,6 +108,14 @@ void ServerEngine::RecoverStreams() {
 
 Result<std::shared_ptr<ServerEngine::Stream>> ServerEngine::OpenStream(
     uint64_t uuid, const net::StreamConfig& config, Open how) {
+  // The index divides chunk positions by the fanout and sizes its nodes by
+  // it: fanout 0 would fault on the first insert, fanout 1 never closes a
+  // node, and a huge one exhausts memory on the first append. Checked here
+  // so a bad persisted config is skipped on recovery as well.
+  if (config.fanout < 2 || config.fanout > kMaxFanout) {
+    return InvalidArgument("index fanout must be in 2.." +
+                           std::to_string(kMaxFanout));
+  }
   TC_ASSIGN_OR_RETURN(auto cipher, MakeAddCipher(config));
   auto tree = std::make_unique<index::AggTree>(
       kv_, "idx/" + std::to_string(uuid), cipher,
@@ -391,13 +399,6 @@ Result<Bytes> ServerEngine::CreateStream(BytesView body) {
   TC_ASSIGN_OR_RETURN(auto req, net::CreateStreamRequest::Decode(body));
   if (req.config.delta_ms <= 0) {
     return InvalidArgument("chunk interval must be positive");
-  }
-  // The index divides chunk positions by the fanout and sizes its nodes by
-  // it: fanout 0 would fault on the first insert, fanout 1 never closes a
-  // node, and a huge one exhausts memory on the first append.
-  if (req.config.fanout < 2 || req.config.fanout > kMaxFanout) {
-    return InvalidArgument("index fanout must be in 2.." +
-                           std::to_string(kMaxFanout));
   }
 
   WriterMutexLock lock(streams_mu_);

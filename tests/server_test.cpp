@@ -106,6 +106,14 @@ TEST_F(ServerTest, RejectsFanoutOutsideIndexBounds) {
     ++uuid;
   }
   EXPECT_EQ(engine_->NumStreams(), 2u);
+
+  // A config persisted with a bad fanout (by a server without this check)
+  // is skipped on recovery instead of faulting on the first insert.
+  auto bad = PlainConfig();
+  bad.fanout = 0;
+  ASSERT_TRUE(kv_->Put("meta/cfg/" + std::to_string(uuid - 1), bad.Encode())
+                  .ok());
+  EXPECT_EQ(ServerEngine(kv_).NumStreams(), 1u);
 }
 
 TEST_F(ServerTest, InsertAndQueryRoundTrip) {
