@@ -1,9 +1,6 @@
 #include "client/consumer.hpp"
 
 #include <algorithm>
-#include <cstring>
-
-#include "integrity/attestation.hpp"
 
 namespace tc::client {
 
@@ -162,71 +159,22 @@ Result<std::vector<index::DataPoint>> ConsumerClient::GetRange(
 Result<StatResult> ConsumerClient::GetVerifiedStatRange(
     uint64_t uuid, TimeRange range, BytesView owner_signing_public) {
   TC_ASSIGN_OR_RETURN(auto config, ConfigFor(uuid));
-  if (config.cipher != net::CipherKind::kHeac) {
-    return Unimplemented("verified queries require a HEAC stream");
-  }
-
-  net::GetAttestationRequest att_req{uuid};
-  TC_ASSIGN_OR_RETURN(
-      Bytes att_blob,
-      transport_->Call(MessageType::kGetAttestation, att_req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto attestation,
-                      integrity::Attestation::Decode(att_blob));
-  TC_RETURN_IF_ERROR(attestation.Verify(owner_signing_public));
-  if (attestation.uuid != uuid) {
-    return PermissionDenied("attestation covers a different stream");
-  }
-
   ChunkClock clock(config.t0, config.delta_ms);
   TC_ASSIGN_OR_RETURN(auto idx_range, clock.IndexRange(range));
-  uint64_t first = idx_range.first;
-  uint64_t last = std::min(idx_range.second, attestation.size);
-  if (first >= last) return OutOfRange("range beyond attested prefix");
-
-  // Grant check before fetching: the decrypt below would fail anyway
-  // (crypto-enforced), but failing early gives a cleaner error.
-  TC_RETURN_IF_ERROR(GrantFor(uuid, first, last).status());
-
-  net::GetChunkWitnessedRequest req{uuid, first, last, attestation.size};
-  TC_ASSIGN_OR_RETURN(
-      Bytes resp_blob,
-      transport_->Call(MessageType::kGetChunkWitnessed, req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto resp,
-                      net::GetChunkWitnessedResponse::Decode(resp_blob));
-  if (resp.entries.size() != last - first) {
-    return DataLoss("server returned wrong number of witnessed chunks");
-  }
-
-  size_t fields = config.schema.num_fields();
-  std::vector<uint64_t> acc(fields, 0);
-  for (size_t i = 0; i < resp.entries.size(); ++i) {
-    const auto& entry = resp.entries[i];
-    if (entry.chunk_index != first + i) {
-      return DataLoss("witnessed chunks out of order");
-    }
-    BinaryReader pr(entry.proof);
-    TC_ASSIGN_OR_RETURN(auto path, integrity::DecodeAuditPath(pr));
-    TC_RETURN_IF_ERROR(integrity::VerifyChunk(
-        attestation, owner_signing_public, entry.chunk_index,
-        entry.digest_blob, entry.payload, path));
-    if (entry.digest_blob.size() != fields * 8) {
-      return DataLoss("digest blob size mismatch");
-    }
-    for (size_t f = 0; f < fields; ++f) {
-      uint64_t word;
-      std::memcpy(&word, entry.digest_blob.data() + f * 8, 8);
-      acc[f] += word;
-    }
-  }
-
-  TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_first, BoundaryLeaf(uuid, first));
-  TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_last, BoundaryLeaf(uuid, last));
+  TC_ASSIGN_OR_RETURN(auto sum, GetVerifiedSum(*transport_, config, uuid,
+                                               idx_range, owner_signing_public));
+  // The decrypt below would fail without a grant anyway (crypto-enforced);
+  // checking the grant first gives a cleaner error.
+  TC_RETURN_IF_ERROR(GrantFor(uuid, sum.first_chunk, sum.last_chunk).status());
+  TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_first,
+                      BoundaryLeaf(uuid, sum.first_chunk));
+  TC_ASSIGN_OR_RETURN(crypto::Key128 leaf_last,
+                      BoundaryLeaf(uuid, sum.last_chunk));
   std::pair<crypto::Key128, crypto::Key128> leaves = {leaf_first, leaf_last};
-  Bytes acc_blob(fields * 8);
-  std::memcpy(acc_blob.data(), acc.data(), acc_blob.size());
-  TC_ASSIGN_OR_RETURN(auto decrypted,
-                      DecryptStatBlob(config, acc_blob, {&leaves, 1}));
-  return StatResult{first, last,
+  TC_ASSIGN_OR_RETURN(
+      auto decrypted,
+      DecryptStatBlob(config, sum.aggregate_blob, {&leaves, 1}));
+  return StatResult{sum.first_chunk, sum.last_chunk,
                     index::DigestStats(config.schema, std::move(decrypted))};
 }
 

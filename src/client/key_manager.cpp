@@ -1,5 +1,7 @@
 #include "client/key_manager.hpp"
 
+#include <cassert>
+
 #include "common/io.hpp"
 #include "crypto/sha256.hpp"
 
@@ -33,37 +35,14 @@ crypto::Key128 Subseed2(const crypto::Key128& master, std::string_view label,
 StreamKeys::StreamKeys(crypto::Key128 master_seed, StreamKeysConfig config)
     : master_(master_seed),
       config_(config),
-      ggm_root_(Subseed(master_seed, "ggm-root", 0)),
-      tree_(std::make_shared<crypto::GgmTree>(ggm_root_,
-                                              config.tree_height)) {}
+      tree_(std::make_shared<crypto::GgmTree>(
+          Subseed(master_seed, "ggm-root", 0), config.tree_height)),
+      iter_(tree_->DeriveNode(0, 0).value(), 0, 0, config.tree_height, 0) {}
 
 crypto::Key128 StreamKeys::Leaf(uint64_t i) {
-  if (i == cached_index_) return cached_leaf_;
-  if (iter_ && !iter_->AtEnd() && iter_->CurrentIndex() == i) {
-    cached_index_ = i;
-    cached_leaf_ = iter_->Current();
-    return cached_leaf_;
-  }
-  // Short forward strides (sequential ingest, window-series decryption)
-  // advance the iterator: ~2 PRG calls per step amortized, vs height calls
-  // for a re-anchor. Beyond that, re-anchor.
-  if (iter_ && !iter_->AtEnd() && i > iter_->CurrentIndex() &&
-      i - iter_->CurrentIndex() <= config_.tree_height / 2) {
-    bool ok = true;
-    while (ok && iter_->CurrentIndex() < i) ok = iter_->Next();
-    if (ok) {
-      cached_index_ = i;
-      cached_leaf_ = iter_->Current();
-      return cached_leaf_;
-    }
-  }
-  // Random access: re-anchor the iterator at i (log n PRG calls; the root
-  // subseed is cached — recomputing its HMAC here dominated query decrypt
-  // latency before).
-  iter_.emplace(ggm_root_, 0, 0, config_.tree_height, i);
-  cached_index_ = i;
-  cached_leaf_ = iter_->Current();
-  return cached_leaf_;
+  [[maybe_unused]] bool in_keystream = iter_.Seek(i);
+  assert(in_keystream && "leaf index beyond the keystream");
+  return iter_.Current();
 }
 
 crypto::Key128 StreamKeys::PayloadKey(uint64_t chunk) {

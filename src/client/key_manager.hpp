@@ -1,11 +1,11 @@
 // Owner-side key management (§4.2.3, §4.4.2): the per-stream GGM key tree,
-// the ingest keystream fast path, and the resolution keystreams (dual key
-// regression) with their envelope publication.
+// one seekable leaf path that serves every leaf the owner derives (ingest,
+// payload keys, query endpoints, envelopes), and the resolution keystreams
+// (dual key regression) with their envelope publication.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <optional>
 
 #include "common/secret.hpp"
 #include "crypto/aes_gcm.hpp"
@@ -27,8 +27,6 @@ class StreamKeys {
   StreamKeys(crypto::Key128 master_seed, StreamKeysConfig config = {});
   ~StreamKeys() {
     SecureZero(master_);
-    SecureZero(ggm_root_);
-    SecureZero(cached_leaf_);
     // tree_, iter_ and resolutions_ scrub themselves: GgmTree, the
     // iterator's PathEntry stack and HashChain all zeroize on destruction.
   }
@@ -37,8 +35,9 @@ class StreamKeys {
   std::shared_ptr<const crypto::GgmTree> shared_tree() const { return tree_; }
   uint32_t tree_height() const { return config_.tree_height; }
 
-  /// Leaf for chunk i. Sequential calls (i, i+1, ...) are amortized O(1)
-  /// via an internal iterator; random access costs log(n) PRG calls.
+  /// Leaf for chunk i: a seek of the stream's one leaf path. Repeated and
+  /// sequential calls (i, i+1, ...) are amortized O(1); a random leaf costs
+  /// one PRG call per level below the prefix it shares with the last leaf.
   crypto::Key128 Leaf(uint64_t i);
 
   /// Per-chunk payload key H(k_i - k_{i+1}) (§4.3).
@@ -61,12 +60,8 @@ class StreamKeys {
  private:
   TC_SECRET crypto::Key128 master_;
   StreamKeysConfig config_;
-  // Cached subseed: Leaf() re-anchors often.
-  TC_SECRET crypto::Key128 ggm_root_;
   std::shared_ptr<crypto::GgmTree> tree_;
-  std::optional<crypto::SequentialLeafIterator> iter_;
-  TC_SECRET crypto::Key128 cached_leaf_{};
-  uint64_t cached_index_ = ~uint64_t{0};
+  crypto::SequentialLeafIterator iter_;  // over the whole keystream
   std::map<uint64_t, std::unique_ptr<crypto::DualKeyRegression>> resolutions_;
 };
 

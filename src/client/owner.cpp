@@ -39,6 +39,66 @@ Result<std::vector<uint64_t>> DecryptStatBlob(
   return m;
 }
 
+Result<net::StatRangeResponse> GetVerifiedSum(
+    net::Transport& transport, const net::StreamConfig& config, uint64_t uuid,
+    std::pair<uint64_t, uint64_t> chunks, BytesView owner_signing_public) {
+  if (config.cipher != net::CipherKind::kHeac) {
+    return Unimplemented("verified queries require a HEAC stream");
+  }
+  net::GetAttestationRequest att_req{uuid};
+  TC_ASSIGN_OR_RETURN(
+      Bytes att_blob,
+      transport.Call(MessageType::kGetAttestation, att_req.Encode()));
+  TC_ASSIGN_OR_RETURN(auto attestation,
+                      integrity::Attestation::Decode(att_blob));
+  TC_RETURN_IF_ERROR(attestation.Verify(owner_signing_public));
+  if (attestation.uuid != uuid) {
+    return PermissionDenied("attestation covers a different stream");
+  }
+
+  uint64_t first = chunks.first;
+  uint64_t last = std::min(chunks.second, attestation.size);
+  if (first >= last) return OutOfRange("range beyond attested prefix");
+
+  net::GetChunkWitnessedRequest req{uuid, first, last, attestation.size};
+  TC_ASSIGN_OR_RETURN(
+      Bytes resp_blob,
+      transport.Call(MessageType::kGetChunkWitnessed, req.Encode()));
+  TC_ASSIGN_OR_RETURN(auto resp,
+                      net::GetChunkWitnessedResponse::Decode(resp_blob));
+  if (resp.entries.size() != last - first) {
+    return DataLoss("server returned wrong number of witnessed chunks");
+  }
+
+  // Verify every chunk against the signed root, at its own position, then
+  // re-aggregate the (verified) HEAC ciphertexts locally — addition in the
+  // uint64 ring.
+  size_t fields = config.schema.num_fields();
+  std::vector<uint64_t> acc(fields, 0);
+  for (size_t i = 0; i < resp.entries.size(); ++i) {
+    const auto& entry = resp.entries[i];
+    if (entry.chunk_index != first + i) {
+      return DataLoss("witnessed chunks out of order");
+    }
+    BinaryReader pr(entry.proof);
+    TC_ASSIGN_OR_RETURN(auto path, integrity::DecodeAuditPath(pr));
+    TC_RETURN_IF_ERROR(integrity::VerifyChunk(
+        attestation, owner_signing_public, entry.chunk_index,
+        entry.digest_blob, entry.payload, path));
+    if (entry.digest_blob.size() != fields * 8) {
+      return DataLoss("digest blob size mismatch");
+    }
+    for (size_t f = 0; f < fields; ++f) {
+      uint64_t word;
+      std::memcpy(&word, entry.digest_blob.data() + f * 8, 8);
+      acc[f] += word;
+    }
+  }
+  Bytes sum(fields * 8);
+  std::memcpy(sum.data(), acc.data(), sum.size());
+  return net::StatRangeResponse{first, last, std::move(sum)};
+}
+
 OwnerClient::OwnerClient(std::shared_ptr<net::Transport> transport,
                          OwnerOptions options)
     : transport_(std::move(transport)), options_(options) {}
@@ -68,13 +128,9 @@ Result<uint64_t> OwnerClient::CreateStream(const net::StreamConfig& config) {
   TC_RETURN_IF_ERROR(create_status);
 
   StreamState s{config, ChunkClock(config.t0, config.delta_ms),
-                nullptr, nullptr, nullptr, nullptr,
+                nullptr, nullptr, nullptr,
                 0,       1,       0,       {},      {},      false};
   s.keys = std::make_unique<StreamKeys>(crypto::RandomKey128(), options_.keys);
-  if (config.cipher == net::CipherKind::kHeac) {
-    s.heac = index::MakeHeacCipher(config.schema.num_fields(),
-                                   s.keys->shared_tree());
-  }
   s.builder = std::make_unique<chunk::ChunkBuilder>(
       0, s.clock.RangeOfChunk(0),
       static_cast<chunk::Compression>(config.compression));
@@ -105,7 +161,6 @@ Status OwnerClient::AttachStream(uint64_t uuid,
                 nullptr,
                 nullptr,
                 nullptr,
-                nullptr,
                 info.num_chunks,
                 1,
                 0,
@@ -113,10 +168,6 @@ Status OwnerClient::AttachStream(uint64_t uuid,
                 {},
                 false};
   s.keys = std::make_unique<StreamKeys>(master_seed, options_.keys);
-  if (info.config.cipher == net::CipherKind::kHeac) {
-    s.heac = index::MakeHeacCipher(info.config.schema.num_fields(),
-                                   s.keys->shared_tree());
-  }
   s.builder = std::make_unique<chunk::ChunkBuilder>(
       info.num_chunks, s.clock.RangeOfChunk(info.num_chunks),
       static_cast<chunk::Compression>(info.config.compression));
@@ -188,31 +239,35 @@ Status OwnerClient::SealAndUpload(uint64_t uuid, StreamState& s) {
   auto& builder = *s.builder;
   uint64_t chunk_index = builder.index();
 
+  // Leaves i and i+1 key both the HEAC digest and the payload (§4.3).
+  crypto::Key128 leaf_i = s.keys->Leaf(chunk_index);
+  crypto::Key128 leaf_next = s.keys->Leaf(chunk_index + 1);
+
   // Digest: compute plaintext fields, encrypt per stream cipher.
   std::vector<uint64_t> fields = builder.ComputeDigest(s.config.schema);
-  Bytes digest_blob;
   switch (s.config.cipher) {
-    case net::CipherKind::kHeac: {
-      TC_ASSIGN_OR_RETURN(digest_blob, s.heac->Encrypt(fields, chunk_index));
+    case net::CipherKind::kHeac:
+      fields = crypto::HeacCodec(fields.size())
+                   .Encrypt(fields, chunk_index, leaf_i, leaf_next)
+                   .fields;
       break;
-    }
-    case net::CipherKind::kPlain: {
-      auto plain = index::MakePlainCipher(fields.size());
-      TC_ASSIGN_OR_RETURN(digest_blob, plain->Encrypt(fields, chunk_index));
+    case net::CipherKind::kPlain:
       break;
-    }
     default:
       return Unimplemented(
           "owner ingest supports HEAC and plaintext streams; strawman "
           "ciphers are exercised by the benchmarks directly");
   }
+  // Both layouts are the fields as little-endian uint64 words.
+  Bytes digest_blob(fields.size() * 8);
+  std::memcpy(digest_blob.data(), fields.data(), digest_blob.size());
 
   // Payload: compress + AES-GCM under the per-chunk key. Empty chunks (gap
   // filler) upload digests only.
   Bytes payload;
   if (builder.num_points() > 0) {
-    TC_ASSIGN_OR_RETURN(payload,
-                        builder.SealPayload(s.keys->PayloadKey(chunk_index)));
+    TC_ASSIGN_OR_RETURN(payload, builder.SealPayload(crypto::ChunkPayloadKey(
+                                     leaf_i, leaf_next)));
   }
 
   if (options_.upload_batch_chunks > 1) {
@@ -376,22 +431,8 @@ Result<StatResult> OwnerClient::GetStatRange(uint64_t uuid, TimeRange range) {
   TC_ASSIGN_OR_RETURN(
       Bytes payload, transport_->Call(MessageType::kGetStatRange, req.Encode()));
   TC_ASSIGN_OR_RETURN(auto resp, net::StatRangeResponse::Decode(payload));
-
-  std::vector<uint64_t> fields;
-  if (s->config.cipher == net::CipherKind::kHeac) {
-    std::pair<crypto::Key128, crypto::Key128> leaves = {
-        s->keys->Leaf(s->LeafIndexOf(resp.first_chunk)),
-        s->keys->Leaf(s->LeafIndexOf(resp.last_chunk))};
-    TC_ASSIGN_OR_RETURN(
-        fields, DecryptStatBlob(s->config, resp.aggregate_blob, {&leaves, 1}));
-  } else {
-    auto plain = index::MakePlainCipher(s->config.schema.num_fields());
-    TC_ASSIGN_OR_RETURN(fields,
-                        plain->Decrypt(resp.aggregate_blob, resp.first_chunk,
-                                       resp.last_chunk));
-  }
-  return StatResult{resp.first_chunk, resp.last_chunk,
-                    index::DigestStats(s->config.schema, std::move(fields))};
+  return DecryptAggregate(*s, resp.aggregate_blob, resp.first_chunk,
+                          resp.last_chunk);
 }
 
 Result<std::vector<StatResult>> OwnerClient::GetStatSeries(
@@ -410,19 +451,8 @@ Result<std::vector<StatResult>> OwnerClient::GetStatSeries(
     // The final window clips to the response's end bound — NOT to local
     // ingest state, which is absent when chunks were uploaded out-of-band.
     uint64_t end = std::min(w + resp.granularity_chunks, resp.last_chunk);
-    std::vector<uint64_t> fields;
-    if (s->config.cipher == net::CipherKind::kHeac) {
-      std::pair<crypto::Key128, crypto::Key128> leaves = {
-          s->keys->Leaf(s->LeafIndexOf(w)),
-          s->keys->Leaf(s->LeafIndexOf(end))};
-      TC_ASSIGN_OR_RETURN(fields,
-                          DecryptStatBlob(s->config, blob, {&leaves, 1}));
-    } else {
-      auto plain = index::MakePlainCipher(s->config.schema.num_fields());
-      TC_ASSIGN_OR_RETURN(fields, plain->Decrypt(blob, w, end));
-    }
-    results.push_back(StatResult{
-        w, end, index::DigestStats(s->config.schema, std::move(fields))});
+    TC_ASSIGN_OR_RETURN(StatResult window, DecryptAggregate(*s, blob, w, end));
+    results.push_back(std::move(window));
     w = end;
   }
   return results;
@@ -447,8 +477,8 @@ Result<uint64_t> OwnerClient::RollupStream(uint64_t uuid,
   derived.config = s->config;
   derived.config.name = s->config.name + "/rollup" +
                         std::to_string(granularity_chunks);
-  derived.config.delta_ms =
-      s->config.delta_ms * static_cast<int64_t>(granularity_chunks);
+  TC_ASSIGN_OR_RETURN(derived.config.delta_ms,
+                      RollupDeltaMs(s->config.delta_ms, granularity_chunks));
   derived.clock = ChunkClock(s->clock.RangeOfChunk(aligned.first_chunk).start,
                              derived.config.delta_ms);
   derived.keys =
@@ -638,63 +668,37 @@ Result<StatResult> OwnerClient::GetVerifiedStatRange(uint64_t uuid,
   if (!s->attestor) {
     return FailedPrecondition("stream was not created with integrity");
   }
-  if (s->config.cipher != net::CipherKind::kHeac) {
-    return Unimplemented("verified queries require a HEAC stream");
-  }
-
-  // Fetch the latest published attestation (what a consumer would do; the
+  // Check the latest published attestation (what a consumer would do; the
   // owner could also call s->attestor->Attest() locally).
-  net::GetAttestationRequest att_req{uuid};
-  TC_ASSIGN_OR_RETURN(
-      Bytes att_blob,
-      transport_->Call(MessageType::kGetAttestation, att_req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto attestation,
-                      integrity::Attestation::Decode(att_blob));
-
   TC_ASSIGN_OR_RETURN(auto idx_range, s->clock.IndexRange(range));
-  uint64_t first = idx_range.first;
-  uint64_t last = std::min(idx_range.second, attestation.size);
-  if (first >= last) return OutOfRange("range beyond attested prefix");
+  TC_ASSIGN_OR_RETURN(auto sum,
+                      GetVerifiedSum(*transport_, s->config, uuid, idx_range,
+                                     options_.signing.public_key));
+  return DecryptAggregate(*s, sum.aggregate_blob, sum.first_chunk,
+                          sum.last_chunk);
+}
 
-  net::GetChunkWitnessedRequest req{uuid, first, last, attestation.size};
-  TC_ASSIGN_OR_RETURN(
-      Bytes resp_blob,
-      transport_->Call(MessageType::kGetChunkWitnessed, req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto resp,
-                      net::GetChunkWitnessedResponse::Decode(resp_blob));
-  if (resp.entries.size() != last - first) {
-    return DataLoss("server returned wrong number of witnessed chunks");
-  }
-
-  // Verify every chunk against the signed root, then re-aggregate the
-  // (verified) HEAC ciphertexts locally — addition in the uint64 ring.
-  size_t fields = s->config.schema.num_fields();
-  std::vector<uint64_t> acc(fields, 0);
-  for (const auto& entry : resp.entries) {
-    BinaryReader pr(entry.proof);
-    TC_ASSIGN_OR_RETURN(auto path, integrity::DecodeAuditPath(pr));
-    TC_RETURN_IF_ERROR(integrity::VerifyChunk(
-        attestation, options_.signing.public_key, entry.chunk_index,
-        entry.digest_blob, entry.payload, path));
-    if (entry.digest_blob.size() != fields * 8) {
-      return DataLoss("digest blob size mismatch");
+Result<StatResult> OwnerClient::DecryptAggregate(StreamState& s,
+                                                 BytesView blob,
+                                                 uint64_t first,
+                                                 uint64_t last) {
+  std::vector<uint64_t> fields;
+  if (s.config.cipher == net::CipherKind::kHeac) {
+    // The bounds come from the server: both outer leaves must exist.
+    uint64_t num_leaves = s.keys->tree().num_leaves();
+    if (first > last ||
+        last > (num_leaves - 1 - s.leaf_offset) / s.leaf_scale) {
+      return DataLoss("aggregate bounds lie outside the keystream");
     }
-    for (size_t f = 0; f < fields; ++f) {
-      uint64_t word;
-      std::memcpy(&word, entry.digest_blob.data() + f * 8, 8);
-      acc[f] += word;
-    }
+    std::pair<crypto::Key128, crypto::Key128> leaves = {
+        s.keys->Leaf(s.LeafIndexOf(first)), s.keys->Leaf(s.LeafIndexOf(last))};
+    TC_ASSIGN_OR_RETURN(fields, DecryptStatBlob(s.config, blob, {&leaves, 1}));
+  } else {
+    auto plain = index::MakePlainCipher(s.config.schema.num_fields());
+    TC_ASSIGN_OR_RETURN(fields, plain->Decrypt(blob, first, last));
   }
-
-  std::pair<crypto::Key128, crypto::Key128> leaves = {
-      s->keys->Leaf(s->LeafIndexOf(first)),
-      s->keys->Leaf(s->LeafIndexOf(last))};
-  Bytes acc_blob(fields * 8);
-  std::memcpy(acc_blob.data(), acc.data(), acc_blob.size());
-  TC_ASSIGN_OR_RETURN(auto decrypted,
-                      DecryptStatBlob(s->config, acc_blob, {&leaves, 1}));
   return StatResult{first, last,
-                    index::DigestStats(s->config.schema, std::move(decrypted))};
+                    index::DigestStats(s.config.schema, std::move(fields))};
 }
 
 }  // namespace tc::client

@@ -153,7 +153,6 @@ class OwnerClient {
     net::StreamConfig config;
     ChunkClock clock{0, 1};
     std::unique_ptr<StreamKeys> keys;
-    std::unique_ptr<index::DigestCipher> heac;  // set iff cipher == kHeac
     std::unique_ptr<chunk::ChunkBuilder> builder;
     std::unique_ptr<integrity::StreamAttestor> attestor;  // iff integrity
     uint64_t next_chunk = 0;
@@ -202,6 +201,9 @@ class OwnerClient {
   };
 
   Result<StreamState*> FindStream(uint64_t uuid);
+  /// Decrypt an aggregate over chunks [first, last) of a stream we own.
+  static Result<StatResult> DecryptAggregate(StreamState& s, BytesView blob,
+                                             uint64_t first, uint64_t last);
   Status SealAndUpload(uint64_t uuid, StreamState& s);
   /// Drain the upload pipeline: send everything buffered and wait for every
   /// in-flight batch (no-op when empty).
@@ -232,5 +234,15 @@ class OwnerClient {
 Result<std::vector<uint64_t>> DecryptStatBlob(
     const net::StreamConfig& config, BytesView blob,
     std::span<const std::pair<crypto::Key128, crypto::Key128>> leaf_pairs);
+
+/// Verified read (integrity extension, shared by owner and consumer):
+/// fetches stream `uuid`'s published attestation and the witnessed chunks
+/// of [chunks.first, chunks.second) it covers; checks the attestation's
+/// signature against `owner_signing_public` and its stream, that entry i is
+/// chunk first + i, and every audit path; and returns the sum of the
+/// verified HEAC digests, clipped to the attested prefix.
+Result<net::StatRangeResponse> GetVerifiedSum(
+    net::Transport& transport, const net::StreamConfig& config, uint64_t uuid,
+    std::pair<uint64_t, uint64_t> chunks, BytesView owner_signing_public);
 
 }  // namespace tc::client

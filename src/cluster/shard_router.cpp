@@ -409,8 +409,8 @@ Result<Bytes> ShardRouter::RollupStream(BytesView body) {
   // (their digests are server-computed, not producer-sealed).
   derived.integrity = false;
   derived.name += "/rollup" + std::to_string(req.granularity_chunks);
-  derived.delta_ms = info.config.delta_ms *
-                     static_cast<int64_t>(req.granularity_chunks);
+  TC_ASSIGN_OR_RETURN(derived.delta_ms, RollupDeltaMs(info.config.delta_ms,
+                                                      req.granularity_chunks));
   derived.t0 = clock.RangeOfChunk(first).start;
   net::CreateStreamRequest create{req.target_uuid, derived};
   TC_RETURN_IF_ERROR(sets_[target_shard]

@@ -41,6 +41,20 @@ struct TimeRange {
   std::string ToString() const;
 };
 
+/// Chunk interval of a rollup stream whose chunks each span
+/// `granularity_chunks` chunks of interval `delta`; InvalidArgument when the
+/// product does not fit a DurationMs.
+inline Result<DurationMs> RollupDeltaMs(DurationMs delta,
+                                        uint64_t granularity_chunks) {
+  DurationMs out = 0;
+  if (granularity_chunks > static_cast<uint64_t>(INT64_MAX) ||
+      __builtin_mul_overflow(delta, static_cast<DurationMs>(granularity_chunks),
+                             &out)) {
+    return InvalidArgument("rollup chunk interval overflows");
+  }
+  return out;
+}
+
 /// Maps wall-clock time to chunk indices for a stream that starts at `t0`
 /// and chunks at fixed interval `delta` (the paper's Δ, §4.3). Chunk i covers
 /// [t0 + i*delta, t0 + (i+1)*delta).

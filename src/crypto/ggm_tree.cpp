@@ -1,8 +1,20 @@
 #include "crypto/ggm_tree.hpp"
 
+#include <bit>
 #include <cassert>
 
 namespace tc::crypto {
+
+namespace {
+/// Walk `levels` steps down from `node`: bit (levels-1-i) of `index` selects
+/// the child at step i.
+Key128 WalkDown(const Prg& prg, Key128 node, uint64_t index, uint32_t levels) {
+  for (uint32_t i = 0; i < levels; ++i) {
+    node = prg.ExpandOne(node, (index >> (levels - 1 - i)) & 1);
+  }
+  return node;
+}
+}  // namespace
 
 GgmTree::GgmTree(Key128 root_seed, uint32_t height, PrgKind prg_kind)
     : root_(root_seed), height_(height), prg_(MakePrg(prg_kind)) {
@@ -18,14 +30,7 @@ Result<Key128> GgmTree::DeriveNode(uint32_t depth, uint64_t index) const {
   if (depth < 64 && index >= (uint64_t{1} << depth)) {
     return OutOfRange("node index out of range for depth");
   }
-  Key128 node = root_;
-  // Walk the path from the root: bit (depth-1-i) of `index` selects the
-  // child at step i.
-  for (uint32_t i = 0; i < depth; ++i) {
-    bool right = (index >> (depth - 1 - i)) & 1;
-    node = prg_->ExpandOne(node, right);
-  }
-  return node;
+  return WalkDown(*prg_, root_, index, depth);
 }
 
 Result<std::vector<AccessToken>> GgmTree::CoverRange(uint64_t first,
@@ -88,15 +93,9 @@ Result<Key128> TokenSet::DeriveLeaf(uint64_t leaf_index) const {
     uint64_t first = FirstLeaf(t, height_);
     uint64_t last = LastLeaf(t, height_);
     if (leaf_index < first || leaf_index > last) continue;
-    // Walk down from the token: the low (height - depth) bits of leaf_index
-    // select the path within the subtree.
-    uint32_t sub_height = height_ - t.depth;
-    Key128 node = t.node_key;
-    for (uint32_t i = 0; i < sub_height; ++i) {
-      bool right = (leaf_index >> (sub_height - 1 - i)) & 1;
-      node = prg_->ExpandOne(node, right);
-    }
-    return node;
+    // The low (height - depth) bits of leaf_index select the path within
+    // the token's subtree.
+    return WalkDown(*prg_, t.node_key, leaf_index, height_ - t.depth);
   }
   return PermissionDenied("no access token covers requested key");
 }
@@ -109,9 +108,9 @@ SequentialLeafIterator::SequentialLeafIterator(Key128 root_key,
                                                PrgKind prg_kind)
     : prg_(MakePrg(prg_kind)), root_depth_(root_depth), height_(tree_height) {
   uint32_t sub_height = tree_height - root_depth;
-  uint64_t first = root_index << sub_height;
-  end_ = first + (uint64_t{1} << sub_height);
-  assert(start_leaf >= first && start_leaf < end_);
+  first_ = root_index << sub_height;
+  end_ = first_ + (uint64_t{1} << sub_height);
+  assert(start_leaf >= first_ && start_leaf < end_);
   path_.reserve(sub_height + 1);
   path_.push_back({root_key, root_index});
   current_ = start_leaf;
@@ -131,24 +130,21 @@ void SequentialLeafIterator::DescendTo(uint64_t leaf_index) {
   }
 }
 
-bool SequentialLeafIterator::Next() {
-  if (current_ + 1 >= end_) {
-    current_ = end_;
-    return false;
-  }
-  ++current_;
-  // Pop up to the deepest ancestor shared with the new leaf, then descend.
-  // The number of trailing one-bits of the previous leaf tells how many
-  // levels to pop: leaf 0b0111 -> 0b1000 changes the bottom 4 path steps.
-  uint64_t prev = current_ - 1;
-  int pops = 1;
-  while ((prev & 1) == 1 && pops < static_cast<int>(path_.size()) - 1) {
-    prev >>= 1;
-    ++pops;
-  }
-  path_.resize(path_.size() - pops);
-  DescendTo(current_);
+bool SequentialLeafIterator::Seek(uint64_t leaf) {
+  if (leaf < first_ || leaf >= end_) return false;
+  // The path's leaf, not current_ (which sits at end_ once Next() ran off
+  // the subtree), anchors the pop: the highest bit in which the two leaf
+  // indices differ is the number of bottom path steps that change.
+  path_.resize(path_.size() - std::bit_width(path_.back().index ^ leaf));
+  DescendTo(leaf);
+  current_ = leaf;
   return true;
+}
+
+bool SequentialLeafIterator::Next() {
+  if (Seek(current_ + 1)) return true;
+  current_ = end_;
+  return false;
 }
 
 }  // namespace tc::crypto

@@ -97,11 +97,12 @@ class TokenSet {
   std::unique_ptr<Prg> prg_;
 };
 
-/// Amortized-O(1) sequential leaf derivation: keeps the root->leaf path as a
-/// stack and reuses the shared prefix between consecutive leaves. This is
-/// the ingest fast path — encrypting chunk i needs leaves i and i+1, and
-/// chunks arrive in order, so deriving each from the root (log n PRG calls)
-/// would waste a factor of ~height.
+/// A seekable cursor on one root->leaf path of a (sub)tree. The path is
+/// kept as a stack; a seek pops it back to the deepest ancestor the old and
+/// new leaf share and re-derives only the levels below. Stepping to the next
+/// leaf costs ~2 PRG calls amortized (chunk i needs leaves i and i+1, and
+/// chunks arrive in order), a repeated leaf costs none, and two nearby
+/// random leaves share every level above their common prefix.
 class SequentialLeafIterator {
  public:
   /// Iterates leaves [start, 2^height) of the tree rooted at root_key, where
@@ -117,6 +118,11 @@ class SequentialLeafIterator {
   uint64_t CurrentIndex() const { return current_; }
   bool AtEnd() const { return current_ >= end_; }
 
+  /// Move to `leaf`, forward or backward (also after Next() ran off the
+  /// end). Returns false, leaving the iterator as it was, when `leaf` lies
+  /// outside the subtree.
+  bool Seek(uint64_t leaf);
+
   /// Advance to the next leaf. Returns false at the end of the subtree.
   bool Next();
 
@@ -128,7 +134,7 @@ class SequentialLeafIterator {
     PathEntry& operator=(const PathEntry&) = default;
     PathEntry(PathEntry&&) noexcept = default;
     PathEntry& operator=(PathEntry&&) noexcept = default;
-    // Popped path suffixes (Next() shrinks the stack every step) scrub
+    // Popped path suffixes (every seek shrinks the stack) scrub
     // themselves — the re-derivable inner-node keys never linger.
     ~PathEntry() { SecureZero(key); }
 
@@ -143,6 +149,7 @@ class SequentialLeafIterator {
   uint32_t root_depth_;
   uint32_t height_;  // global tree height
   uint64_t current_ = 0;
+  uint64_t first_ = 0;  // subtree leaves are [first_, end_)
   uint64_t end_ = 0;
 };
 

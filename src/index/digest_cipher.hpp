@@ -57,9 +57,10 @@ class DigestCipher {
 /// Insecure baseline: fields stored as little-endian uint64.
 std::unique_ptr<DigestCipher> MakePlainCipher(size_t num_fields);
 
-/// TimeCrypt's HEAC over a GGM keystream. The cipher shares ownership of
-/// the key tree (the data-owner configuration; consumers decrypt through
-/// TokenSet-derived leaves via client::Consumer instead).
+/// TimeCrypt's HEAC over a GGM keystream, for the benches and probes that
+/// exercise the scheme in isolation. It shares ownership of the key tree and
+/// walks both leaves from the root on every call; the clients do not use it
+/// (the owner seeks its StreamKeys leaf path, consumers derive from tokens).
 std::unique_ptr<DigestCipher> MakeHeacCipher(
     size_t num_fields, std::shared_ptr<const crypto::GgmTree> tree);
 

@@ -672,8 +672,8 @@ Result<Bytes> ServerEngine::RollupStream(BytesView body) {
   net::StreamConfig derived = source->config;
   derived.integrity = false;
   derived.name += "/rollup" + std::to_string(req.granularity_chunks);
-  derived.delta_ms =
-      source->config.delta_ms * static_cast<int64_t>(req.granularity_chunks);
+  TC_ASSIGN_OR_RETURN(derived.delta_ms, RollupDeltaMs(source->config.delta_ms,
+                                                      req.granularity_chunks));
   derived.t0 = source->clock.RangeOfChunk(first).start;
   net::CreateStreamRequest create{req.target_uuid, derived};
   TC_RETURN_IF_ERROR(CreateStream(create.Encode()).status());

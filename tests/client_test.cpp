@@ -103,7 +103,10 @@ TEST(StreamKeysTest, SequentialAndRandomAccessAgree) {
 TEST(StreamKeysTest, LeafMatchesGgmTreeDirectly) {
   crypto::Key128 seed = crypto::RandomKey128();
   StreamKeys keys(seed);
-  for (uint64_t i : {3ull, 4ull, 100ull}) {
+  // The last three walk backwards across the height-30 tree's midpoint,
+  // where the leaf paths share only the root.
+  for (uint64_t i : {3ull, 4ull, 100ull, (1ull << 29) + 1, 1ull << 29,
+                     (1ull << 29) - 1}) {
     EXPECT_EQ(keys.Leaf(i), keys.tree().DeriveLeaf(i).value());
   }
 }

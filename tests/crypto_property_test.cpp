@@ -80,6 +80,88 @@ TEST_P(GgmPrgProperty, SequentialIteratorFromArbitraryStart) {
   }
 }
 
+TEST_P(GgmPrgProperty, SeekFromRootMatchesDeriveLeaf) {
+  Key128 seed = RandomKey128();
+  GgmTree tree(seed, height(), kind());
+  DeterministicRng rng(height() * 17 + static_cast<int>(kind()));
+  uint64_t n = tree.num_leaves();
+  SequentialLeafIterator it(seed, 0, 0, height(), 0, kind());
+  int forward = 0, backward = 0;
+  for (int t = 0; t < 40; ++t) {
+    // A random jump, then the same leaf again, one back and one forward.
+    uint64_t r = rng.NextBelow(n);
+    (r > it.CurrentIndex() ? forward : backward) += 1;
+    for (uint64_t leaf : {r, r, r > 0 ? r - 1 : r, r + 1 < n ? r + 1 : r}) {
+      ASSERT_TRUE(it.Seek(leaf)) << "leaf " << leaf;
+      ASSERT_EQ(it.CurrentIndex(), leaf);
+      EXPECT_FALSE(it.AtEnd());
+      EXPECT_EQ(it.Current(), tree.DeriveLeaf(leaf).value()) << "leaf " << leaf;
+    }
+  }
+  EXPECT_GT(forward, 0);
+  EXPECT_GT(backward, 0);
+}
+
+TEST_P(GgmPrgProperty, SeekWithinDepth3TokenMatchesDeriveLeaf) {
+  GgmTree tree(RandomKey128(), height(), kind());
+  DeterministicRng rng(height() * 19 + static_cast<int>(kind()));
+  uint64_t index = 1 + rng.NextBelow(6);  // neighbours on both sides
+  AccessToken token{3, index, tree.DeriveNode(3, index).value()};
+  uint64_t first = TokenSet::FirstLeaf(token, height());
+  uint64_t last = TokenSet::LastLeaf(token, height());
+  SequentialLeafIterator it(token.node_key, 3, index, height(), first, kind());
+
+  std::vector<uint64_t> leaves = {last, first, last, last, first};
+  for (int t = 0; t < 30; ++t) {
+    leaves.push_back(first + rng.NextBelow(last - first + 1));
+  }
+  for (uint64_t leaf : leaves) {
+    ASSERT_TRUE(it.Seek(leaf)) << "leaf " << leaf;
+    ASSERT_EQ(it.CurrentIndex(), leaf);
+    EXPECT_EQ(it.Current(), tree.DeriveLeaf(leaf).value()) << "leaf " << leaf;
+  }
+
+  // Outside the token's subtree: refused, and the iterator stays put.
+  uint64_t at = it.CurrentIndex();
+  Key128 key = it.Current();
+  for (uint64_t outside : {first - 1, last + 1, uint64_t{0},
+                           tree.num_leaves() - 1, tree.num_leaves()}) {
+    EXPECT_FALSE(it.Seek(outside)) << "leaf " << outside;
+    EXPECT_EQ(it.CurrentIndex(), at);
+    EXPECT_EQ(it.Current(), key);
+  }
+}
+
+TEST_P(GgmPrgProperty, SeekAfterNextRanOffTheEnd) {
+  Key128 seed = RandomKey128();
+  GgmTree tree(seed, height(), kind());
+  uint64_t n = tree.num_leaves();
+  uint64_t index = 5;
+  AccessToken token{3, index, tree.DeriveNode(3, index).value()};
+  uint64_t first = TokenSet::FirstLeaf(token, height());
+  uint64_t last = TokenSet::LastLeaf(token, height());
+
+  SequentialLeafIterator whole(seed, 0, 0, height(), n - 1, kind());
+  SequentialLeafIterator sub(token.node_key, 3, index, height(), last, kind());
+  for (auto [it, lo, hi] : {std::tuple{&whole, uint64_t{0}, n - 1},
+                            std::tuple{&sub, first, last}}) {
+    EXPECT_FALSE(it->Next());
+    EXPECT_TRUE(it->AtEnd());
+    for (uint64_t leaf : {hi, lo, lo + (hi - lo) / 2, hi}) {
+      ASSERT_TRUE(it->Seek(leaf)) << "leaf " << leaf;
+      EXPECT_FALSE(it->AtEnd());
+      EXPECT_EQ(it->CurrentIndex(), leaf);
+      EXPECT_EQ(it->Current(), tree.DeriveLeaf(leaf).value());
+      // Next() steps on from the seek, or runs off the end again.
+      EXPECT_EQ(it->Next(), leaf < hi);
+      EXPECT_EQ(it->AtEnd(), leaf == hi);
+      if (leaf < hi) {
+        EXPECT_EQ(it->Current(), tree.DeriveLeaf(leaf + 1).value());
+      }
+    }
+  }
+}
+
 TEST_P(GgmPrgProperty, TokenSetDerivesExactlyTheCoveredLeaves) {
   GgmTree tree(RandomKey128(), height(), kind());
   DeterministicRng rng(height() * 131 + static_cast<int>(kind()));

@@ -336,6 +336,52 @@ TEST_F(E2eTest, ServerRejectsBadRequests) {
             StatusCode::kAlreadyExists);
 }
 
+/// Transport that moves every stat-range answer's end bound to `last`.
+class BoundShiftingTransport final : public net::Transport {
+ public:
+  BoundShiftingTransport(std::shared_ptr<net::Transport> inner, uint64_t last)
+      : inner_(std::move(inner)), last_(last) {}
+
+  net::PendingCall AsyncCall(net::MessageType type, BytesView body,
+                             net::CallCallback on_done = nullptr) override {
+    Result<Bytes> result = inner_->Call(type, body);
+    if (type == net::MessageType::kGetStatRange && result.ok()) {
+      auto resp = net::StatRangeResponse::Decode(*result);
+      if (resp.ok()) {
+        resp->last_chunk = last_;
+        result = resp->Encode();
+      }
+    }
+    net::CallCompleter completer(std::move(on_done));
+    completer.Complete(std::move(result));
+    return completer.pending();
+  }
+
+ private:
+  std::shared_ptr<net::Transport> inner_;
+  uint64_t last_;
+};
+
+TEST_F(E2eTest, OwnerRejectsAggregateBoundsBeyondTheKeystream) {
+  // The owner's keystream has leaves 0 .. 2^30 - 1: an aggregate ending at
+  // chunk 2^30 - 1 has both outer leaves, one ending past it does not.
+  constexpr uint64_t kLastLeaf = (uint64_t{1} << 30) - 1;
+  for (uint64_t last : {kLastLeaf, kLastLeaf + 1, ~uint64_t{0}}) {
+    OwnerClient owner(
+        std::make_shared<BoundShiftingTransport>(transport_, last));
+    auto uuid = owner.CreateStream(HeartRateConfig());
+    ASSERT_TRUE(uuid.ok());
+    ASSERT_TRUE(owner.InsertRecord(*uuid, {0, 1}).ok());
+    ASSERT_TRUE(owner.Flush(*uuid).ok());
+    auto result = owner.GetStatRange(*uuid, {0, kDelta});
+    if (last == kLastLeaf) {
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+    } else {
+      EXPECT_EQ(result.status().code(), StatusCode::kDataLoss) << last;
+    }
+  }
+}
+
 TEST_F(E2eTest, HistogramStatsFlowEndToEnd) {
   uint64_t uuid = IngestStream(8, HeartRateConfig());
   auto result = owner_.GetStatRange(uuid, {0, 8 * kDelta});

@@ -4,6 +4,8 @@
 // attestations, truncated history).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "client/consumer.hpp"
 #include "client/owner.hpp"
 #include "crypto/ed25519.hpp"
@@ -396,6 +398,81 @@ TEST_F(IntegrityE2eTest, ConsumerVerifiedFlowWithGrant) {
   auto bad = consumer.GetVerifiedStatRange(uuid, {0, 16 * kDelta},
                                            forged.public_key);
   EXPECT_EQ(bad.status().code(), StatusCode::kPermissionDenied);
+}
+
+/// Transport that answers witnessed reads with chunk `from`'s genuine,
+/// individually verifiable entry in place of chunk `to`'s (a server
+/// replaying one attested chunk over another).
+class SubstitutingTransport final : public net::Transport {
+ public:
+  SubstitutingTransport(std::shared_ptr<net::Transport> inner, uint64_t from,
+                        uint64_t to)
+      : inner_(std::move(inner)), from_(from), to_(to) {}
+
+  net::PendingCall AsyncCall(net::MessageType type, BytesView body,
+                             net::CallCallback on_done = nullptr) override {
+    Result<Bytes> result = inner_->Call(type, body);
+    if (type == net::MessageType::kGetChunkWitnessed && result.ok()) {
+      auto resp = net::GetChunkWitnessedResponse::Decode(*result);
+      if (resp.ok()) {
+        auto& entries = resp->entries;
+        auto at = [&](uint64_t chunk) {
+          return std::find_if(entries.begin(), entries.end(),
+                              [&](const auto& e) {
+                                return e.chunk_index == chunk;
+                              });
+        };
+        if (at(from_) != entries.end() && at(to_) != entries.end()) {
+          *at(to_) = *at(from_);
+          result = resp->Encode();
+        }
+      }
+    }
+    net::CallCompleter completer(std::move(on_done));
+    completer.Complete(std::move(result));
+    return completer.pending();
+  }
+
+ private:
+  std::shared_ptr<net::Transport> inner_;
+  uint64_t from_;
+  uint64_t to_;
+};
+
+TEST_F(IntegrityE2eTest, OwnerAndConsumerRejectSubstitutedWitnessedChunk) {
+  // Every replayed entry verifies on its own (its chunk index, digest,
+  // payload and audit path are genuine); only its position betrays it.
+  auto lying = std::make_shared<SubstitutingTransport>(transport_, 3, 4);
+  OwnerClient owner(lying);
+  auto uuid = owner.CreateStream(IntegrityConfig());
+  ASSERT_TRUE(uuid.ok());
+  for (uint64_t c = 0; c < 12; ++c) {
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(owner
+                      .InsertRecord(*uuid, {static_cast<Timestamp>(
+                                                c * kDelta + i * 1000),
+                                            static_cast<int64_t>(c + 1)})
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(owner.Flush(*uuid).ok());
+  ASSERT_TRUE(owner.Attest(*uuid).ok());
+
+  auto owned = owner.GetVerifiedStatRange(*uuid, {0, 12 * kDelta});
+  EXPECT_EQ(owned.status().code(), StatusCode::kDataLoss)
+      << owned.status().ToString();
+
+  Principal auditor{"auditor", crypto::GenerateBoxKeyPair()};
+  ASSERT_TRUE(owner
+                  .GrantAccess(*uuid, auditor.id, auditor.keys.public_key,
+                               {0, 12 * kDelta}, 1)
+                  .ok());
+  ConsumerClient consumer(lying, auditor);
+  ASSERT_TRUE(consumer.FetchGrants().ok());
+  auto consumed = consumer.GetVerifiedStatRange(*uuid, {0, 12 * kDelta},
+                                                owner.signing_public());
+  EXPECT_EQ(consumed.status().code(), StatusCode::kDataLoss)
+      << consumed.status().ToString();
 }
 
 TEST_F(IntegrityE2eTest, VerifiedReadDetectsCorruptedStoredChunk) {

@@ -208,6 +208,20 @@ TEST_F(ServerTest, RollupValidation) {
   auto resp = Query(2, {0, 8000});
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(DecodeSum(*resp), 8u);
+
+  // The derived interval delta_ms * granularity must fit in int64: a
+  // (2^62 + 1) ms stream rolled up by 4 is refused and creates no stream.
+  auto wide = PlainConfig();
+  wide.delta_ms = (int64_t{1} << 62) + 1;
+  ASSERT_TRUE(Create(3, wide).ok());
+  for (uint64_t c = 0; c < 4; ++c) ASSERT_TRUE(Insert(3, c, 1).ok());
+  size_t streams = engine_->NumStreams();
+  net::RollupStreamRequest overflow{3, 4, 4, {0, 0}};
+  EXPECT_EQ(
+      engine_->Handle(MessageType::kRollupStream, overflow.Encode()).status()
+          .code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine_->NumStreams(), streams);
 }
 
 TEST_F(ServerTest, MultiStatRequiresMatchingLayouts) {
