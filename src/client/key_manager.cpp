@@ -1,6 +1,6 @@
 #include "client/key_manager.hpp"
 
-#include <cassert>
+#include <cstdlib>
 
 #include "common/io.hpp"
 #include "crypto/sha256.hpp"
@@ -40,8 +40,9 @@ StreamKeys::StreamKeys(crypto::Key128 master_seed, StreamKeysConfig config)
       iter_(tree_->DeriveNode(0, 0).value(), 0, 0, config.tree_height, 0) {}
 
 crypto::Key128 StreamKeys::Leaf(uint64_t i) {
-  [[maybe_unused]] bool in_keystream = iter_.Seek(i);
-  assert(in_keystream && "leaf index beyond the keystream");
+  // A refused seek leaves the previous leaf in place; handing that out as
+  // leaf i would key a chunk with a stale (or public) value, so stop.
+  if (!iter_.Seek(i)) std::abort();
   return iter_.Current();
 }
 
@@ -68,9 +69,14 @@ const crypto::DualKeyRegression& StreamKeys::Resolution(
 
 Result<Bytes> StreamKeys::MakeEnvelope(uint64_t resolution_chunks,
                                        uint64_t window) {
+  uint64_t leaf = 0;
+  if (__builtin_mul_overflow(window, resolution_chunks, &leaf) ||
+      leaf >= tree_->num_leaves()) {
+    return OutOfRange("envelope window lies beyond the keystream");
+  }
   const auto& kr = Resolution(resolution_chunks);
   TC_ASSIGN_OR_RETURN(crypto::Key128 res_key, kr.DeriveKey(window));
-  crypto::Key128 outer_leaf = Leaf(window * resolution_chunks);
+  crypto::Key128 outer_leaf = Leaf(leaf);
   return crypto::GcmSeal(res_key, outer_leaf);
 }
 

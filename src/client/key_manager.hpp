@@ -38,9 +38,17 @@ class StreamKeys {
   /// Leaf for chunk i: a seek of the stream's one leaf path. Repeated and
   /// sequential calls (i, i+1, ...) are amortized O(1); a random leaf costs
   /// one PRG call per level below the prefix it shares with the last leaf.
+  /// Requires i < tree().num_leaves(): indices from outside the owner are
+  /// bounded first, and an index beyond the keystream aborts.
   crypto::Key128 Leaf(uint64_t i);
 
-  /// Per-chunk payload key H(k_i - k_{i+1}) (§4.3).
+  /// Whether both leaves of chunk i (i and i+1) lie in the keystream, so the
+  /// chunk can be sealed or opened.
+  bool HasChunk(uint64_t chunk) const {
+    return chunk < tree_->num_leaves() - 1;
+  }
+
+  /// Per-chunk payload key H(k_i - k_{i+1}) (§4.3). Requires HasChunk(chunk).
   crypto::Key128 PayloadKey(uint64_t chunk);
 
   /// The dual key regression for a resolution (created lazily; deterministic

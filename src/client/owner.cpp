@@ -168,6 +168,11 @@ Status OwnerClient::AttachStream(uint64_t uuid,
                 {},
                 false};
   s.keys = std::make_unique<StreamKeys>(master_seed, options_.keys);
+  // Chunks 0 .. num_chunks - 1 were ours, so leaf num_chunks (their last
+  // outer leaf) exists; a larger count is the server's, not ours.
+  if (info.num_chunks > s.LastKeyedChunk()) {
+    return DataLoss("server reports more chunks than the keystream holds");
+  }
   s.builder = std::make_unique<chunk::ChunkBuilder>(
       info.num_chunks, s.clock.RangeOfChunk(info.num_chunks),
       static_cast<chunk::Compression>(info.config.compression));
@@ -238,6 +243,10 @@ Status OwnerClient::DeleteStream(uint64_t uuid) {
 Status OwnerClient::SealAndUpload(uint64_t uuid, StreamState& s) {
   auto& builder = *s.builder;
   uint64_t chunk_index = builder.index();
+  if (!s.keys->HasChunk(chunk_index)) {
+    return OutOfRange("keystream exhausted: no leaves for chunk " +
+                      std::to_string(chunk_index));
+  }
 
   // Leaves i and i+1 key both the HEAC digest and the payload (§4.3).
   crypto::Key128 leaf_i = s.keys->Leaf(chunk_index);
@@ -414,6 +423,9 @@ Result<std::vector<index::DataPoint>> OwnerClient::GetRange(uint64_t uuid,
 
   std::vector<index::DataPoint> points;
   for (const auto& c : resp.chunks) {
+    if (!s->keys->HasChunk(c.chunk_index)) {
+      return DataLoss("chunk index lies outside the keystream");
+    }
     TC_ASSIGN_OR_RETURN(
         auto chunk_points,
         chunk::OpenPayload(s->keys->PayloadKey(c.chunk_index), c.chunk_index,
@@ -462,13 +474,6 @@ Result<uint64_t> OwnerClient::RollupStream(uint64_t uuid,
                                            uint64_t granularity_chunks,
                                            TimeRange range) {
   TC_ASSIGN_OR_RETURN(StreamState * s, FindStream(uuid));
-  uint64_t target_uuid = crypto::RandomU64();
-  net::RollupStreamRequest req{uuid, target_uuid, granularity_chunks, range};
-  TC_ASSIGN_OR_RETURN(
-      Bytes resp,
-      transport_->Call(MessageType::kRollupStream, req.Encode()));
-  TC_ASSIGN_OR_RETURN(auto aligned, net::RollupStreamResponse::Decode(resp));
-
   // The derived stream reuses the source key material: rollup chunk j
   // aggregates source chunks [j*r, (j+1)*r), so its outer keys are source
   // leaves at j*r — the same keystream with indices scaled by r. The HEAC
@@ -479,11 +484,28 @@ Result<uint64_t> OwnerClient::RollupStream(uint64_t uuid,
                         std::to_string(granularity_chunks);
   TC_ASSIGN_OR_RETURN(derived.config.delta_ms,
                       RollupDeltaMs(s->config.delta_ms, granularity_chunks));
+  if (granularity_chunks == 0 ||
+      __builtin_mul_overflow(s->leaf_scale, granularity_chunks,
+                             &derived.leaf_scale)) {
+    return InvalidArgument("rollup granularity is zero or overflows");
+  }
+
+  uint64_t target_uuid = crypto::RandomU64();
+  net::RollupStreamRequest req{uuid, target_uuid, granularity_chunks, range};
+  TC_ASSIGN_OR_RETURN(
+      Bytes resp,
+      transport_->Call(MessageType::kRollupStream, req.Encode()));
+  TC_ASSIGN_OR_RETURN(auto aligned, net::RollupStreamResponse::Decode(resp));
+  // The aligned bounds come from the server: the derived stream's leaf
+  // offset must stay inside the keystream.
+  if (aligned.first_chunk > aligned.last_chunk ||
+      aligned.last_chunk > s->LastKeyedChunk()) {
+    return DataLoss("rollup bounds lie outside the keystream");
+  }
   derived.clock = ChunkClock(s->clock.RangeOfChunk(aligned.first_chunk).start,
                              derived.config.delta_ms);
   derived.keys =
       std::make_unique<StreamKeys>(s->keys->master_seed(), options_.keys);
-  derived.leaf_scale = s->leaf_scale * granularity_chunks;
   derived.leaf_offset = s->LeafIndexOf(aligned.first_chunk);
   derived.next_chunk =
       (aligned.last_chunk - aligned.first_chunk) / granularity_chunks;
@@ -685,9 +707,7 @@ Result<StatResult> OwnerClient::DecryptAggregate(StreamState& s,
   std::vector<uint64_t> fields;
   if (s.config.cipher == net::CipherKind::kHeac) {
     // The bounds come from the server: both outer leaves must exist.
-    uint64_t num_leaves = s.keys->tree().num_leaves();
-    if (first > last ||
-        last > (num_leaves - 1 - s.leaf_offset) / s.leaf_scale) {
+    if (first > last || last > s.LastKeyedChunk()) {
       return DataLoss("aggregate bounds lie outside the keystream");
     }
     std::pair<crypto::Key128, crypto::Key128> leaves = {

@@ -178,6 +178,12 @@ class OwnerClient {
     uint64_t LeafIndexOf(uint64_t chunk) const {
       return leaf_offset + chunk * leaf_scale;
     }
+    // Last chunk whose leaf lies in the keystream (leaf_offset is always
+    // inside it). Chunk bounds from the server are checked against it
+    // before any leaf is derived.
+    uint64_t LastKeyedChunk() const {
+      return (keys->tree().num_leaves() - 1 - leaf_offset) / leaf_scale;
+    }
   };
 
   struct OpenGrant {

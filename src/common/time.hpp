@@ -47,9 +47,7 @@ struct TimeRange {
 inline Result<DurationMs> RollupDeltaMs(DurationMs delta,
                                         uint64_t granularity_chunks) {
   DurationMs out = 0;
-  if (granularity_chunks > static_cast<uint64_t>(INT64_MAX) ||
-      __builtin_mul_overflow(delta, static_cast<DurationMs>(granularity_chunks),
-                             &out)) {
+  if (__builtin_mul_overflow(delta, granularity_chunks, &out)) {
     return InvalidArgument("rollup chunk interval overflows");
   }
   return out;

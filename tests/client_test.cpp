@@ -128,6 +128,19 @@ TEST(StreamKeysTest, EnvelopeRoundTrip) {
   EXPECT_EQ(*leaf, keys.Leaf(60));  // outer leaf at window*resolution
 }
 
+TEST(StreamKeysTest, BoundsStopAtTheEndOfTheKeystream) {
+  // A height-2 keystream has leaves 0..3: chunk 2 is the last one whose two
+  // leaves exist, and an envelope's outer leaf must be one of the four.
+  StreamKeys keys(crypto::RandomKey128(), {.tree_height = 2});
+  EXPECT_TRUE(keys.HasChunk(2));
+  EXPECT_FALSE(keys.HasChunk(3));
+  EXPECT_FALSE(keys.HasChunk(~uint64_t{0}));
+  EXPECT_TRUE(keys.MakeEnvelope(/*resolution=*/3, /*window=*/1).ok());
+  EXPECT_EQ(keys.MakeEnvelope(2, 2).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(keys.MakeEnvelope(2, uint64_t{1} << 63).status().code(),
+            StatusCode::kOutOfRange);  // window * resolution overflows
+}
+
 TEST(StreamKeysTest, EnvelopeRejectsWrongKey) {
   StreamKeys keys(crypto::RandomKey128());
   auto envelope = keys.MakeEnvelope(6, 10);

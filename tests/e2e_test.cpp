@@ -5,6 +5,8 @@
 // the in-process and TCP transports.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "client/consumer.hpp"
 #include "client/owner.hpp"
 #include "net/tcp.hpp"
@@ -336,19 +338,23 @@ TEST_F(E2eTest, ServerRejectsBadRequests) {
             StatusCode::kAlreadyExists);
 }
 
-/// Transport that moves every stat-range answer's end bound to `last`.
-class BoundShiftingTransport final : public net::Transport {
+/// Transport that rewrites every answer of one message type, standing in
+/// for a server that reports indices of its own choosing.
+template <class Response>
+class RewritingTransport final : public net::Transport {
  public:
-  BoundShiftingTransport(std::shared_ptr<net::Transport> inner, uint64_t last)
-      : inner_(std::move(inner)), last_(last) {}
+  RewritingTransport(std::shared_ptr<net::Transport> inner,
+                     net::MessageType type,
+                     std::function<void(Response&)> rewrite)
+      : inner_(std::move(inner)), type_(type), rewrite_(std::move(rewrite)) {}
 
   net::PendingCall AsyncCall(net::MessageType type, BytesView body,
                              net::CallCallback on_done = nullptr) override {
     Result<Bytes> result = inner_->Call(type, body);
-    if (type == net::MessageType::kGetStatRange && result.ok()) {
-      auto resp = net::StatRangeResponse::Decode(*result);
+    if (type == type_ && result.ok()) {
+      auto resp = Response::Decode(*result);
       if (resp.ok()) {
-        resp->last_chunk = last_;
+        rewrite_(*resp);
         result = resp->Encode();
       }
     }
@@ -359,16 +365,21 @@ class BoundShiftingTransport final : public net::Transport {
 
  private:
   std::shared_ptr<net::Transport> inner_;
-  uint64_t last_;
+  net::MessageType type_;
+  std::function<void(Response&)> rewrite_;
 };
 
+// The owner's default keystream has leaves 0 .. 2^30 - 1.
+constexpr uint64_t kLastLeaf = (uint64_t{1} << 30) - 1;
+
 TEST_F(E2eTest, OwnerRejectsAggregateBoundsBeyondTheKeystream) {
-  // The owner's keystream has leaves 0 .. 2^30 - 1: an aggregate ending at
-  // chunk 2^30 - 1 has both outer leaves, one ending past it does not.
-  constexpr uint64_t kLastLeaf = (uint64_t{1} << 30) - 1;
+  // An aggregate ending at chunk 2^30 - 1 has both outer leaves, one ending
+  // past it does not.
   for (uint64_t last : {kLastLeaf, kLastLeaf + 1, ~uint64_t{0}}) {
     OwnerClient owner(
-        std::make_shared<BoundShiftingTransport>(transport_, last));
+        std::make_shared<RewritingTransport<net::StatRangeResponse>>(
+            transport_, net::MessageType::kGetStatRange,
+            [last](net::StatRangeResponse& r) { r.last_chunk = last; }));
     auto uuid = owner.CreateStream(HeartRateConfig());
     ASSERT_TRUE(uuid.ok());
     ASSERT_TRUE(owner.InsertRecord(*uuid, {0, 1}).ok());
@@ -378,6 +389,107 @@ TEST_F(E2eTest, OwnerRejectsAggregateBoundsBeyondTheKeystream) {
       EXPECT_TRUE(result.ok()) << result.status().ToString();
     } else {
       EXPECT_EQ(result.status().code(), StatusCode::kDataLoss) << last;
+    }
+  }
+}
+
+TEST_F(E2eTest, OwnerRejectsRangeChunksBeyondTheKeystream) {
+  // Chunk 2^30 - 1 would need leaf 2^30 for its payload key.
+  for (uint64_t index : {kLastLeaf, ~uint64_t{0}}) {
+    OwnerClient owner(
+        std::make_shared<RewritingTransport<net::GetRangeResponse>>(
+            transport_, net::MessageType::kGetRange,
+            [index](net::GetRangeResponse& r) {
+              for (auto& c : r.chunks) c.chunk_index = index;
+            }));
+    auto uuid = owner.CreateStream(HeartRateConfig());
+    ASSERT_TRUE(uuid.ok());
+    ASSERT_TRUE(owner.InsertRecord(*uuid, {0, 1}).ok());
+    ASSERT_TRUE(owner.Flush(*uuid).ok());
+    EXPECT_EQ(owner.GetRange(*uuid, {0, kDelta}).status().code(),
+              StatusCode::kDataLoss)
+        << index;
+  }
+}
+
+TEST_F(E2eTest, OwnerRejectsRollupBoundsBeyondTheKeystream) {
+  struct Bounds {
+    uint64_t first, last;
+  };
+  for (Bounds b : {Bounds{0, 4}, Bounds{kLastLeaf + 1, kLastLeaf + 1},
+                   Bounds{~uint64_t{0}, ~uint64_t{0}}, Bounds{4, 0}}) {
+    OwnerClient owner(
+        std::make_shared<RewritingTransport<net::RollupStreamResponse>>(
+            transport_, net::MessageType::kRollupStream,
+            [b](net::RollupStreamResponse& r) {
+              r.first_chunk = b.first;
+              r.last_chunk = b.last;
+            }));
+    auto uuid = owner.CreateStream(HeartRateConfig());
+    ASSERT_TRUE(uuid.ok());
+    for (uint64_t c = 0; c <= 4; ++c) {
+      ASSERT_TRUE(
+          owner.InsertRecord(*uuid, {static_cast<Timestamp>(c * kDelta), 1})
+              .ok());
+    }
+    auto rolled = owner.RollupStream(*uuid, 2, {0, 4 * kDelta});
+    if (b.first == 0) {
+      EXPECT_TRUE(rolled.ok()) << rolled.status().ToString();
+    } else {
+      EXPECT_EQ(rolled.status().code(), StatusCode::kDataLoss) << b.first;
+    }
+  }
+}
+
+TEST_F(E2eTest, OwnerStopsSealingAtTheEndOfTheKeystream) {
+  // A height-2 keystream has leaves 0..3: chunk 2 is the last whose two
+  // leaves exist. Sealing chunk 3 must fail, not encrypt under a stale or
+  // public key.
+  client::OwnerOptions options;
+  options.keys.tree_height = 2;
+  OwnerClient owner(transport_, options);
+  auto uuid = owner.CreateStream(HeartRateConfig());
+  ASSERT_TRUE(uuid.ok());
+  for (uint64_t c = 0; c < 4; ++c) {
+    ASSERT_TRUE(
+        owner.InsertRecord(*uuid, {static_cast<Timestamp>(c * kDelta), 1})
+            .ok());
+  }
+  // A point in chunk 4 seals chunk 3 first.
+  EXPECT_EQ(owner.InsertRecord(*uuid, {4 * kDelta, 1}).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(owner.Flush(*uuid).code(), StatusCode::kOutOfRange);
+
+  // The server holds chunks 0..2 only, and they decrypt.
+  net::DeleteStreamRequest info_req{*uuid};
+  auto info = net::StreamInfoResponse::Decode(
+      transport_->Call(net::MessageType::kGetStreamInfo, info_req.Encode())
+          .value());
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->num_chunks, 3u);
+  auto stats = owner.GetStatRange(*uuid, {0, 3 * kDelta});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->stats.Count().value(), 3u);
+}
+
+TEST_F(E2eTest, OwnerRejectsAttachBeyondTheKeystream) {
+  uint64_t uuid = IngestStream(2, HeartRateConfig());
+  crypto::Key128 seed = owner_.KeysFor(uuid).value()->master_seed();
+  client::OwnerOptions options;
+  options.keys.tree_height = 2;
+  // Leaves 0..3: a stream of 3 chunks is full but still attachable; one the
+  // server claims holds 4 (or 2^64 - 1) chunks cannot be keyed.
+  for (uint64_t claimed : {uint64_t{3}, uint64_t{4}, ~uint64_t{0}}) {
+    OwnerClient owner(
+        std::make_shared<RewritingTransport<net::StreamInfoResponse>>(
+            transport_, net::MessageType::kGetStreamInfo,
+            [claimed](net::StreamInfoResponse& r) { r.num_chunks = claimed; }),
+        options);
+    Status attach = owner.AttachStream(uuid, seed);
+    if (claimed == 3) {
+      EXPECT_TRUE(attach.ok()) << attach.ToString();
+    } else {
+      EXPECT_EQ(attach.code(), StatusCode::kDataLoss) << claimed;
     }
   }
 }
