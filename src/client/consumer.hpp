@@ -3,10 +3,22 @@
 // query results strictly within the granted scope — access control is
 // enforced by key derivability, not server policy (§4.2.3 "true end-to-end
 // encryption").
+//
+// Key path: a query's window boundaries go through one BoundaryLeaves pass,
+// which derives each distinct boundary leaf once. Full-resolution grants
+// answer from one GGM path cursor per token, built at FetchGrants and
+// sought in ascending boundary order (a few PRG calls per leaf). Resolution
+// grants answer from a per-grant table of opened outer leaves; a miss costs
+// one GetEnvelopes call for the span of the missing windows and one
+// DualKeyRegressionView::DeriveKeys walk, and each envelope is GCM-opened
+// before its leaf enters the table. So an hour series costs the series RPC
+// plus at most one envelope fetch per resolution grant, and nothing more
+// once its windows are open.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <span>
 
 #include "chunk/chunk.hpp"
 #include "client/grants.hpp"
@@ -17,13 +29,18 @@
 
 namespace tc::client {
 
+/// Thread-compatible, not thread-safe: the stream config cache and the
+/// grants' key state are unsynchronized, so one thread at a time may call
+/// into a ConsumerClient (give each reader thread its own).
 class ConsumerClient {
  public:
   ConsumerClient(std::shared_ptr<net::Transport> transport,
                  Principal principal);
 
-  /// Pull and open all sealed grants addressed to this principal. Returns
-  /// the number of grants now held.
+  /// Pull and open all sealed grants addressed to this principal, and build
+  /// their key paths (the opened-leaf tables start empty). Grants that do
+  /// not open or fail validation are skipped. Returns the number of grants
+  /// now held.
   Result<int> FetchGrants();
 
   const std::vector<AccessGrant>& grants() const { return grants_; }
@@ -59,9 +76,38 @@ class ConsumerClient {
                                           BytesView owner_signing_public);
 
  private:
-  /// Outer leaf for chunk boundary `chunk` of stream `uuid`, via whichever
-  /// grant can derive it (tree token or resolution envelope).
-  Result<crypto::Key128> BoundaryLeaf(uint64_t uuid, uint64_t chunk);
+  /// The key path of one held grant. All of it is key material: the
+  /// cursors' paths scrub themselves, and the destructor scrubs the table.
+  struct GrantKeyPath {
+    explicit GrantKeyPath(const AccessGrant& grant);
+    GrantKeyPath(GrantKeyPath&&) noexcept = default;
+    GrantKeyPath& operator=(GrantKeyPath&&) = delete;
+    ~GrantKeyPath() {
+      for (auto& entry : opened) SecureZero(entry.second);
+    }
+
+    // Full resolution: one cursor per token, rooted at its node key.
+    std::vector<crypto::SequentialLeafIterator> cursors;
+    // Resolution: outer leaves already opened from envelopes, by window.
+    // Grows only by windows a query needed, never by the grant's declared
+    // range (a forged grant can declare any range).
+    TC_SECRET std::map<uint64_t, crypto::Key128> opened;
+  };
+
+  /// Outer leaves for chunk boundaries `boundaries` of stream `uuid`, one
+  /// per entry, via whichever grant can derive each (tree token first, then
+  /// resolution envelope). Ascending order keeps every cursor moving
+  /// forward; duplicates cost nothing. PermissionDenied when some boundary
+  /// is out of every grant's reach.
+  Result<crypto::SecretKeys> BoundaryLeaves(
+      uint64_t uuid, std::span<const uint64_t> boundaries);
+
+  /// Fetch and open the envelopes of `windows` (ascending, distinct, none
+  /// in the table yet) of resolution grant `grant` into `path.opened`: one
+  /// GetEnvelopes call for the span, one DeriveKeys walk. Nothing enters
+  /// the table unless every envelope opened.
+  Status OpenWindows(uint64_t uuid, const AccessGrant& grant,
+                     std::span<const uint64_t> windows, GrantKeyPath& path);
 
   Result<net::StreamConfig> ConfigFor(uint64_t uuid);
 
@@ -72,6 +118,7 @@ class ConsumerClient {
   std::shared_ptr<net::Transport> transport_;
   Principal principal_;
   std::vector<AccessGrant> grants_;
+  std::vector<GrantKeyPath> key_paths_;  // key_paths_[i] serves grants_[i]
   std::map<uint64_t, net::StreamConfig> config_cache_;
 };
 

@@ -4,6 +4,30 @@
 
 namespace tc::client {
 
+namespace {
+Status Validate(const AccessGrant& g) {
+  switch (g.kind) {
+    case GrantKind::kFullResolution:
+      if (g.tree_height < 1 || g.tree_height > 63) {
+        return DataLoss("grant tree height outside 1..63");
+      }
+      for (const auto& t : g.tokens) {
+        if (t.depth > g.tree_height || t.index >= (uint64_t{1} << t.depth)) {
+          return DataLoss("grant token lies outside the key tree");
+        }
+      }
+      return Status::Ok();
+    case GrantKind::kResolution:
+      if (g.resolution_chunks == 0) return DataLoss("grant resolution is zero");
+      if (g.window_lower > g.window_upper) {
+        return DataLoss("grant window range is empty");
+      }
+      return Status::Ok();
+  }
+  return DataLoss("unknown grant kind");
+}
+}  // namespace
+
 Bytes AccessGrant::Encode() const {
   BinaryWriter w;
   w.PutU64(stream_uuid);
@@ -54,6 +78,7 @@ Result<AccessGrant> AccessGrant::Decode(BytesView in) {
   std::copy(p.begin(), p.end(), g.primary_state.begin());
   TC_ASSIGN_OR_RETURN(BytesView s, r.GetRaw(g.secondary_state.size()));
   std::copy(s.begin(), s.end(), g.secondary_state.begin());
+  TC_RETURN_IF_ERROR(Validate(g));
   return g;
 }
 

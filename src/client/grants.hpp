@@ -12,6 +12,13 @@
 //
 // Grants travel sealed to the principal's X25519 key and are stored at the
 // server key store (§3.2); the server cannot open them.
+//
+// Consumer key path (ConsumerClient): at FetchGrants each full-resolution
+// token becomes one seekable GGM path cursor rooted at its node key, so a
+// query's boundary leaves cost a few PRG calls each, not a root walk per
+// leaf. Each resolution grant keeps a table of the outer leaves it has
+// opened: a query's missing windows come in one GetEnvelopes call, and
+// their keys from one DualKeyRegressionView::DeriveKeys walk of each chain.
 #pragma once
 
 #include "common/secret.hpp"
@@ -66,6 +73,12 @@ struct AccessGrant {
   TC_SECRET crypto::Key128 secondary_state{};
 
   Bytes Encode() const;
+  /// Decodes and validates: anyone can seal a grant to a principal's public
+  /// key (the server included), so every field that later sizes a shift, a
+  /// division or a walk is checked here, and a bad one is DataLoss.
+  /// Rejected: an unknown kind; for full resolution a tree height outside
+  /// 1..63 or a token outside the tree; for resolution a zero resolution or
+  /// window_lower > window_upper.
   static Result<AccessGrant> Decode(BytesView in);
 
   /// Seal to / open with a principal key (X25519 + AES-GCM hybrid).

@@ -70,9 +70,9 @@ Result<net::StatRangeResponse> GetVerifiedSum(
     return DataLoss("server returned wrong number of witnessed chunks");
   }
 
-  // Verify every chunk against the signed root, at its own position, then
-  // re-aggregate the (verified) HEAC ciphertexts locally — addition in the
-  // uint64 ring.
+  // The signature was checked once above; verify every chunk against the
+  // signed root, at its own position, then re-aggregate the (verified) HEAC
+  // ciphertexts locally — addition in the uint64 ring.
   size_t fields = config.schema.num_fields();
   std::vector<uint64_t> acc(fields, 0);
   for (size_t i = 0; i < resp.entries.size(); ++i) {
@@ -82,9 +82,9 @@ Result<net::StatRangeResponse> GetVerifiedSum(
     }
     BinaryReader pr(entry.proof);
     TC_ASSIGN_OR_RETURN(auto path, integrity::DecodeAuditPath(pr));
-    TC_RETURN_IF_ERROR(integrity::VerifyChunk(
-        attestation, owner_signing_public, entry.chunk_index,
-        entry.digest_blob, entry.payload, path));
+    TC_RETURN_IF_ERROR(integrity::VerifyChunkPath(
+        attestation, entry.chunk_index, entry.digest_blob, entry.payload,
+        path));
     if (entry.digest_blob.size() != fields * 8) {
       return DataLoss("digest blob size mismatch");
     }

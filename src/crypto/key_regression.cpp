@@ -74,27 +74,43 @@ Result<Key128> HashChain::Walk(const KeyRegressionState& from,
 }
 
 Result<Key128> DualKeyRegressionView::DeriveKey(uint64_t j) const {
-  if (j > primary_.index || j < secondary_.index) {
+  TC_ASSIGN_OR_RETURN(SecretKeys keys, DeriveKeys(j, j));
+  return keys[0];
+}
+
+Result<SecretKeys> DualKeyRegressionView::DeriveKeys(uint64_t lo,
+                                                     uint64_t hi) const {
+  if (lo > hi) return InvalidArgument("empty key run");
+  if (lo < secondary_.index || hi > primary_.index) {
     return PermissionDenied("key index outside shared dual-regression range");
   }
-  TC_ASSIGN_OR_RETURN(Key128 s1, HashChain::Walk(primary_, j));
-  // The secondary chain runs in the opposite direction: walking "down" its
-  // chain moves to *higher* key indices. Translate: secondary state for key
-  // index j lives at chain position (length-independent) — we store the
-  // secondary state indexed by key index directly and walk the chain by
-  // (j - secondary_.index) steps.
-  KeyRegressionState sec{secondary_.state,
-                         /*index as walkable distance=*/secondary_.index};
-  // Walk forward in key-index space = step down the secondary chain.
-  Key128 s2 = sec.state;
-  for (uint64_t i = secondary_.index; i < j; ++i) s2 = HashChain::StepDown(s2);
-  Key128 mixed;
-  for (size_t b = 0; b < mixed.size(); ++b) mixed[b] = s1[b] ^ s2[b];
-  Key128 out = HashChain::KeyOf(mixed);
-  SecureZero(s1);
-  SecureZero(s2);
-  SecureZero(mixed);
-  return out;
+  if (hi - lo >= SecretKeys().max_size()) {
+    return OutOfRange("key run too long to hold");
+  }
+  SecretKeys keys(hi - lo + 1);
+  // Primary chain: walk down from upper to hi, then record s1_j for every j
+  // on the way down to lo.
+  Key128 s = primary_.state;
+  for (uint64_t i = primary_.index; i > hi; --i) s = HashChain::StepDown(s);
+  for (uint64_t j = hi;; --j) {
+    keys[j - lo] = s;
+    if (j == lo) break;
+    s = HashChain::StepDown(s);
+  }
+  // The secondary chain runs the other way: stepping down it moves to
+  // *higher* key indices. Walk up from lower to lo, then mix s2_j into each
+  // recorded s1_j: k_j = LSB(G(s1_j xor s2_j)).
+  s = secondary_.state;
+  for (uint64_t i = secondary_.index; i < lo; ++i) s = HashChain::StepDown(s);
+  for (uint64_t j = lo;; ++j) {
+    Key128& k = keys[j - lo];
+    for (size_t b = 0; b < k.size(); ++b) k[b] ^= s[b];
+    k = HashChain::KeyOf(k);
+    if (j == hi) break;
+    s = HashChain::StepDown(s);
+  }
+  SecureZero(s);
+  return keys;
 }
 
 DualKeyRegression::DualKeyRegression(Key128 primary_seed, Key128 secondary_seed,

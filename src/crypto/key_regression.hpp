@@ -26,6 +26,10 @@
 
 namespace tc::crypto {
 
+/// A run of consecutive keys, held in storage that scrubs itself whenever it
+/// is freed (destruction and reallocation alike).
+using SecretKeys = std::vector<Key128, ZeroizingAllocator<Key128>>;
+
 /// Forward direction of chain consumption relative to generation.
 struct KeyRegressionState {
   KeyRegressionState() = default;
@@ -98,6 +102,13 @@ class DualKeyRegressionView {
   /// Derive key k_j = LSB(G(s1_j xor s2_j)); PermissionDenied outside the
   /// interval (outside keys are computationally unreachable).
   Result<Key128> DeriveKey(uint64_t j) const;
+
+  /// Keys k_lo..k_hi in order (element i is k_{lo+i}). Walks each chain
+  /// once, so the cost is O((upper - lo) + (hi - lower)) hashes for the
+  /// whole run, where a DeriveKey per index would pay that per key.
+  /// InvalidArgument when lo > hi; PermissionDenied unless
+  /// lower <= lo and hi <= upper.
+  Result<SecretKeys> DeriveKeys(uint64_t lo, uint64_t hi) const;
 
   /// Raw token states (for embedding in a serialized grant).
   const Key128& primary_state() const { return primary_.state; }

@@ -75,12 +75,18 @@ Status VerifyChunk(const Attestation& attestation, BytesView owner_public,
                    uint64_t chunk_index, BytesView digest_blob,
                    BytesView payload, const AuditPath& path) {
   TC_RETURN_IF_ERROR(attestation.Verify(owner_public));
-  if (chunk_index >= attestation.size) {
+  return VerifyChunkPath(attestation, chunk_index, digest_blob, payload, path);
+}
+
+Status VerifyChunkPath(const Attestation& verified, uint64_t chunk_index,
+                       BytesView digest_blob, BytesView payload,
+                       const AuditPath& path) {
+  if (chunk_index >= verified.size) {
     return OutOfRange("chunk is beyond the attested prefix");
   }
-  Hash witness = ChunkWitness(attestation.uuid, chunk_index, digest_blob,
-                              payload);
-  return VerifyAuditPath(attestation.root, witness, path);
+  Hash witness =
+      ChunkWitness(verified.uuid, chunk_index, digest_blob, payload);
+  return VerifyAuditPath(verified.root, witness, path);
 }
 
 void EncodeAuditPath(BinaryWriter& w, const AuditPath& path) {

@@ -80,6 +80,14 @@ Status VerifyChunk(const Attestation& attestation, BytesView owner_public,
                    uint64_t chunk_index, BytesView digest_blob,
                    BytesView payload, const AuditPath& path);
 
+/// VerifyChunk minus the signature check, for a reader that verified the
+/// attestation once for a whole range: checks only the chunk's bound and
+/// its audit path against the root of `verified`, whose signature the
+/// caller must already have checked.
+Status VerifyChunkPath(const Attestation& verified, uint64_t chunk_index,
+                       BytesView digest_blob, BytesView payload,
+                       const AuditPath& path);
+
 /// Wire encoding for audit paths (served by the server).
 void EncodeAuditPath(BinaryWriter& w, const AuditPath& path);
 Result<AuditPath> DecodeAuditPath(BinaryReader& r);

@@ -81,6 +81,32 @@ TEST(DualKeyRegression, SharedViewDerivesExactInterval) {
             StatusCode::kPermissionDenied);
 }
 
+TEST(DualKeyRegression, DeriveKeysMatchesDeriveKeyOnEverySubSpan) {
+  DualKeyRegression kr(RandomKey128(), RandomKey128(), 40);
+  auto view = kr.Share(5, 17).value();
+  for (uint64_t lo = 5; lo <= 17; ++lo) {
+    for (uint64_t hi = lo; hi <= 17; ++hi) {
+      auto keys = view.DeriveKeys(lo, hi);
+      ASSERT_TRUE(keys.ok()) << lo << ".." << hi;
+      ASSERT_EQ(keys->size(), hi - lo + 1);
+      for (uint64_t j = lo; j <= hi; ++j) {
+        EXPECT_EQ((*keys)[j - lo], view.DeriveKey(j).value())
+            << "key " << j << " of " << lo << ".." << hi;
+        EXPECT_EQ((*keys)[j - lo], kr.DeriveKey(j).value());
+      }
+    }
+  }
+  // Any run reaching outside [lower, upper] is denied, however little.
+  for (auto [lo, hi] : {std::pair<uint64_t, uint64_t>{4, 10}, {4, 4},
+                        {5, 18}, {18, 18}, {0, 39}, {18, 30}}) {
+    EXPECT_EQ(view.DeriveKeys(lo, hi).status().code(),
+              StatusCode::kPermissionDenied)
+        << lo << ".." << hi;
+  }
+  EXPECT_EQ(view.DeriveKeys(10, 9).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(DualKeyRegression, SingleKeyShare) {
   DualKeyRegression kr(RandomKey128(), RandomKey128(), 100);
   auto view = kr.Share(42, 42).value();

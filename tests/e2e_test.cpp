@@ -5,13 +5,12 @@
 // the in-process and TCP transports.
 #include <gtest/gtest.h>
 
-#include <functional>
-
 #include "client/consumer.hpp"
 #include "client/owner.hpp"
 #include "net/tcp.hpp"
 #include "server/server_engine.hpp"
 #include "store/mem_kv.hpp"
+#include "test_transports.hpp"
 #include "workload/mhealth.hpp"
 
 namespace tc {
@@ -21,6 +20,7 @@ using client::AccessGrant;
 using client::ConsumerClient;
 using client::OwnerClient;
 using client::Principal;
+using test::RewritingTransport;
 
 constexpr DurationMs kDelta = 10 * kSecond;
 
@@ -337,37 +337,6 @@ TEST_F(E2eTest, ServerRejectsBadRequests) {
                 .code(),
             StatusCode::kAlreadyExists);
 }
-
-/// Transport that rewrites every answer of one message type, standing in
-/// for a server that reports indices of its own choosing.
-template <class Response>
-class RewritingTransport final : public net::Transport {
- public:
-  RewritingTransport(std::shared_ptr<net::Transport> inner,
-                     net::MessageType type,
-                     std::function<void(Response&)> rewrite)
-      : inner_(std::move(inner)), type_(type), rewrite_(std::move(rewrite)) {}
-
-  net::PendingCall AsyncCall(net::MessageType type, BytesView body,
-                             net::CallCallback on_done = nullptr) override {
-    Result<Bytes> result = inner_->Call(type, body);
-    if (type == type_ && result.ok()) {
-      auto resp = Response::Decode(*result);
-      if (resp.ok()) {
-        rewrite_(*resp);
-        result = resp->Encode();
-      }
-    }
-    net::CallCompleter completer(std::move(on_done));
-    completer.Complete(std::move(result));
-    return completer.pending();
-  }
-
- private:
-  std::shared_ptr<net::Transport> inner_;
-  net::MessageType type_;
-  std::function<void(Response&)> rewrite_;
-};
 
 // The owner's default keystream has leaves 0 .. 2^30 - 1.
 constexpr uint64_t kLastLeaf = (uint64_t{1} << 30) - 1;

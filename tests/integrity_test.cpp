@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "client/consumer.hpp"
 #include "client/owner.hpp"
@@ -14,6 +15,7 @@
 #include "server/server_engine.hpp"
 #include "store/fault_kv.hpp"
 #include "store/mem_kv.hpp"
+#include "test_transports.hpp"
 
 namespace tc {
 namespace {
@@ -473,6 +475,48 @@ TEST_F(IntegrityE2eTest, OwnerAndConsumerRejectSubstitutedWitnessedChunk) {
                                                 owner.signing_public());
   EXPECT_EQ(consumed.status().code(), StatusCode::kDataLoss)
       << consumed.status().ToString();
+}
+
+TEST_F(IntegrityE2eTest, EveryTamperedWitnessedEntryFails) {
+  // The attestation's signature is checked once per read; every entry must
+  // still be bound to the signed root at its own position. Tamper with one
+  // field of one entry at a time, at every position of a small range.
+  constexpr uint64_t kRange = 6;
+  using Response = net::GetChunkWitnessedResponse;
+  auto lying = std::make_shared<test::RewritingTransport<Response>>(
+      transport_, net::MessageType::kGetChunkWitnessed);
+  OwnerClient owner(lying);
+  auto uuid = owner.CreateStream(IntegrityConfig());
+  ASSERT_TRUE(uuid.ok());
+  for (uint64_t c = 0; c < kRange; ++c) {
+    ASSERT_TRUE(owner
+                    .InsertRecord(*uuid, {static_cast<Timestamp>(c * kDelta),
+                                          static_cast<int64_t>(c + 1)})
+                    .ok());
+  }
+  ASSERT_TRUE(owner.Flush(*uuid).ok());
+  ASSERT_TRUE(owner.Attest(*uuid).ok());
+  const TimeRange range{0, kRange * kDelta};
+  ASSERT_TRUE(owner.GetVerifiedStatRange(*uuid, range).ok());
+
+  using Tamper = std::function<void(std::vector<Response::Entry>&, size_t)>;
+  const std::pair<const char*, Tamper> tampers[] = {
+      {"digest", [](auto& e, size_t i) { e[i].digest_blob[0] ^= 1; }},
+      {"payload", [](auto& e, size_t i) { e[i].payload.back() ^= 1; }},
+      {"path", [](auto& e, size_t i) { e[i].proof.back() ^= 1; }},
+      {"order",
+       [](auto& e, size_t i) { std::swap(e[i], e[(i + 1) % e.size()]); }},
+      {"index", [](auto& e, size_t i) { e[i].chunk_index ^= 1; }},
+  };
+  for (const auto& [what, tamper] : tampers) {
+    for (size_t i = 0; i < kRange; ++i) {
+      lying->set_rewrite([&, i](Response& r) { tamper(r.entries, i); });
+      EXPECT_FALSE(owner.GetVerifiedStatRange(*uuid, range).ok())
+          << what << " at " << i;
+    }
+  }
+  lying->set_rewrite(nullptr);
+  EXPECT_TRUE(owner.GetVerifiedStatRange(*uuid, range).ok());
 }
 
 TEST_F(IntegrityE2eTest, VerifiedReadDetectsCorruptedStoredChunk) {

@@ -148,6 +148,45 @@ TEST_F(OpenGrantTest, ResolutionRestrictedSubscription) {
   EXPECT_EQ(fine.status().code(), StatusCode::kPermissionDenied);
 }
 
+TEST_F(OpenGrantTest, QueriesSpanningEpochGrantsDecrypt) {
+  // Each epoch is its own grant; a query's boundaries may each come from a
+  // different one, for tree tokens and key-regression envelopes alike.
+  auto uuid = owner_.CreateStream(Config());
+  ASSERT_TRUE(uuid.ok());
+  Principal fine{"fine", crypto::GenerateBoxKeyPair()};
+  Principal coarse{"coarse", crypto::GenerateBoxKeyPair()};
+  ASSERT_TRUE(owner_
+                  .GrantOpenAccess(*uuid, fine.id, fine.keys.public_key, 0, 1)
+                  .ok());
+  ASSERT_TRUE(owner_
+                  .GrantOpenAccess(*uuid, coarse.id, coarse.keys.public_key,
+                                   0, /*resolution_chunks=*/2)
+                  .ok());
+  ASSERT_TRUE(IngestChunks(*uuid, 0, 3 * kEpoch).ok());
+  ASSERT_TRUE(owner_.ExtendOpenGrants().ok());
+
+  for (Principal* p : {&fine, &coarse}) {
+    ConsumerClient consumer(transport_, *p);
+    ASSERT_EQ(consumer.FetchGrants().value(), 3);
+    auto series = consumer.GetStatSeries(*uuid, {0, 3 * kEpoch * kDelta}, 2);
+    ASSERT_TRUE(series.ok()) << p->id << ": " << series.status().ToString();
+    ASSERT_EQ(series->size(), 3 * kEpoch / 2);
+    for (const auto& window : *series) {
+      EXPECT_EQ(window.stats.Count().value(), 2u);
+    }
+    auto across = consumer.GetStatRange(
+        *uuid, {2 * kDelta, (2 * kEpoch + 2) * kDelta});
+    ASSERT_TRUE(across.ok()) << p->id << ": " << across.status().ToString();
+    EXPECT_EQ(across->stats.Count().value(), 2 * kEpoch);
+  }
+  ConsumerClient raw(transport_, fine);
+  ASSERT_TRUE(raw.FetchGrants().ok());
+  auto points = raw.GetRange(*uuid, {(kEpoch - 1) * kDelta,
+                                     (kEpoch + 1) * kDelta});
+  ASSERT_TRUE(points.ok()) << points.status().ToString();
+  EXPECT_EQ(points->size(), 2u);
+}
+
 TEST_F(OpenGrantTest, MultipleSubscribersIndependentEpochs) {
   auto uuid = owner_.CreateStream(Config());
   ASSERT_TRUE(uuid.ok());
