@@ -725,13 +725,20 @@ class RawServer {
   /// Like ReadRequest, but a closed/failed connection returns nullopt
   /// (tests that race the client's error paths use this).
   std::optional<FrameHeader> TryReadRequest() {
+    auto frame = TryReadRequestFrame();
+    if (!frame) return std::nullopt;
+    return frame->first;
+  }
+
+  /// Like TryReadRequest, but also returns the request body.
+  std::optional<std::pair<FrameHeader, Bytes>> TryReadRequestFrame() {
     Bytes header(kFrameHeaderBytes);
     if (!ReadExact(conn_fd_, header).ok()) return std::nullopt;
     auto decoded = DecodeFrameHeader(header);
     if (!decoded.ok()) return std::nullopt;
     Bytes body(decoded->body_len);
     if (!ReadExact(conn_fd_, body).ok()) return std::nullopt;
-    return *decoded;
+    return std::make_pair(*decoded, std::move(body));
   }
 
   // Write failures are ignored: tests racing the client's teardown paths
@@ -959,6 +966,148 @@ TEST(Tcp, ConcurrentCallersShareOneSocket) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(ok_count.load(), 200);
+  server.Stop();
+}
+
+TEST(Tcp, InflightCapBoundsConcurrentHandlers) {
+  auto gate = std::make_shared<GateHandler>();
+  TcpServerOptions options;
+  options.dispatch_threads = 8;  // enough threads to exceed the cap
+  options.max_inflight_per_conn = 4;
+  TcpServer server(gate, 0, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = TcpClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+
+  // Sixteen pipelined reads on one socket, every one parked in the
+  // handler: the cap admits exactly four, the rest wait unread.
+  std::vector<PendingCall> calls;
+  for (uint8_t tag = 0; tag < 16; ++tag) {
+    calls.push_back(
+        (*client)->AsyncCall(MessageType::kGetStatRange, Bytes{tag}));
+  }
+  gate->WaitEntered(4);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(gate->max_concurrent(), 4u);
+  for (const auto& call : calls) EXPECT_FALSE(call.done());
+
+  gate->ReleaseAll();
+  for (uint8_t tag = 0; tag < 16; ++tag) {
+    auto result = calls[tag].Wait();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->size(), 1u);
+    EXPECT_EQ((*result)[0], tag);
+  }
+  EXPECT_EQ(gate->max_concurrent(), 4u);
+  server.Stop();
+}
+
+TEST(Tcp, ParkedCallerStillCompletesAnotherThreadsCallback) {
+  auto gate = std::make_shared<GateHandler>();
+  TcpServerOptions options;
+  options.dispatch_threads = 4;
+  TcpServer server(gate, 0, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = TcpClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+
+  // One thread parks in a blocking Call whose request is gated server-side.
+  std::atomic<bool> slow_done{false};
+  Result<Bytes> slow_result = Bytes{};
+  std::thread slow([&] {
+    slow_result = (*client)->Call(MessageType::kGetStatRange, Bytes{5});
+    slow_done = true;
+  });
+  gate->WaitEntered(1);
+
+  // Another thread's AsyncCall must still complete, callback included,
+  // while the first caller is parked.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool fired = false;
+  Bytes payload;
+  (*client)->AsyncCall(MessageType::kPing, ToBytes("meanwhile"),
+                       [&](const Result<Bytes>& r) {
+                         std::lock_guard lock(mu);
+                         fired = true;
+                         if (r.ok()) payload = *r;
+                         cv.notify_all();
+                       });
+  {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return fired; });
+  }
+  EXPECT_EQ(ToString(payload), "meanwhile");
+  EXPECT_FALSE(slow_done.load());
+
+  gate->Release(5);
+  slow.join();
+  ASSERT_TRUE(slow_result.ok()) << slow_result.status().ToString();
+  EXPECT_EQ((*slow_result)[0], 5);
+  server.Stop();
+}
+
+TEST(Tcp, ConcurrentCallsCompleteWhenSecondResponseArrivesFirst) {
+  RawServer raw;
+  auto client = TcpClient::Connect("127.0.0.1", raw.port());
+  ASSERT_TRUE(client.ok());
+  raw.Accept();
+
+  Result<Bytes> results[2] = {Bytes{}, Bytes{}};
+  std::vector<std::thread> callers;
+  for (int i = 0; i < 2; ++i) {
+    callers.emplace_back([&, i] {
+      results[i] = (*client)->Call(MessageType::kPing,
+                                   ToBytes(i == 0 ? "first" : "second"));
+    });
+  }
+  // Both requests are in flight before either is answered; the one that
+  // arrived last is answered first.
+  auto a = raw.TryReadRequestFrame();
+  auto b = raw.TryReadRequestFrame();
+  ASSERT_TRUE(a && b);
+  raw.WriteResponse(b->first.request_id, b->second);
+  raw.WriteResponse(a->first.request_id, a->second);
+  for (auto& th : callers) th.join();
+
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    EXPECT_EQ(ToString(*results[i]), i == 0 ? "first" : "second");
+  }
+}
+
+TEST(Tcp, PeerClosingMidFrameLeavesOtherConnectionsServing) {
+  TcpServer server(std::make_shared<EchoHandler>(), 0);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = TcpClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE((*client)->Call(MessageType::kPing, ToBytes("before")).ok());
+
+  // Two raw peers hang up mid-frame: one inside the header, one inside a
+  // body the header promised.
+  Bytes frame = EncodeFrame(MessageType::kPing, 1, Bytes(100, 0x01));
+  for (size_t cut : {size_t{10}, kFrameHeaderBytes + 40}) {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(server.port());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    ASSERT_TRUE(WriteAll(fd, BytesView(frame.data(), cut)).ok());
+    ::close(fd);
+  }
+
+  auto again = (*client)->Call(MessageType::kPing, ToBytes("after"));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(ToString(*again), "after");
+  auto fresh = TcpClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(fresh.ok());
+  auto reply = (*fresh)->Call(MessageType::kPing, ToBytes("new peer"));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(ToString(*reply), "new peer");
   server.Stop();
 }
 
