@@ -18,7 +18,9 @@
 //     (blocking send-and-wait vs pipelined AsyncCall).
 //  4. Pipelined queries on one socket: Q GetStatRange round trips with an
 //     in-flight window of W AsyncCalls (W=1 is the old one-call-per-
-//     connection transport).
+//     connection transport), then one call in flight three ways: a
+//     blocking Call, AsyncCall().Wait(), and a raw loopback ping-pong of
+//     the same frame sizes.
 //  5. Scatter-gather latency per shard count: MultiStatRange across
 //     latency-injected shards, serial scatter (scatter_threads=1) vs the
 //     pipelined shard channels.
@@ -28,8 +30,13 @@
 // shows flat shard scaling (expected — there is nothing to scale onto)
 // while the batching/pipelining wins persist, since they save round
 // trips, not CPU.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -314,6 +321,69 @@ void BenchBatchedTcpIngest(uint64_t chunks, const std::vector<IngestMode>& modes
   std::printf("\n");
 }
 
+/// Bare loopback TCP ping-pong: fixed-size request and response frames
+/// bounced off an echo thread, with none of the transport's framing,
+/// demux or dispatch — the round-trip floor for the transport rows.
+class LoopbackPingPong {
+ public:
+  LoopbackPingPong(size_t request_bytes, size_t response_bytes)
+      : request_(request_bytes, 0xa5), response_(response_bytes) {
+    int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (listener < 0 ||
+        ::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+            0 ||
+        ::listen(listener, 1) != 0 ||
+        ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len) !=
+            0) {
+      std::abort();
+    }
+    echo_ = std::thread([this, listener, response_bytes] {
+      int fd = ::accept(listener, nullptr, nullptr);
+      ::close(listener);
+      if (fd < 0) std::abort();
+      NoDelay(fd);
+      Bytes in(request_.size()), out(response_bytes, 0x5a);
+      while (net::ReadExact(fd, in).ok() && net::WriteAll(fd, out).ok()) {
+      }
+      ::close(fd);
+    });
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd_ < 0 ||
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      std::abort();
+    }
+    NoDelay(fd_);
+  }
+
+  ~LoopbackPingPong() {
+    ::shutdown(fd_, SHUT_RDWR);  // ends the echo loop
+    echo_.join();
+    ::close(fd_);
+  }
+
+  void RoundTrip() {
+    if (!net::WriteAll(fd_, request_).ok() ||
+        !net::ReadExact(fd_, response_).ok()) {
+      std::abort();
+    }
+  }
+
+ private:
+  static void NoDelay(int fd) {
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+
+  Bytes request_;
+  Bytes response_;
+  int fd_ = -1;
+  std::thread echo_;
+};
+
 void BenchPipelinedTcpQueries(uint64_t chunks, uint64_t queries,
                               const std::vector<size_t>& windows) {
   // One engine behind loopback TCP; every query pays a full round trip.
@@ -339,6 +409,19 @@ void BenchPipelinedTcpQueries(uint64_t chunks, uint64_t queries,
       std::abort();
   }
 
+  constexpr uint64_t kSeed = 0x2545f4914f6cdd1dULL;
+  uint64_t x = kSeed;
+  auto next_request = [&] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    uint64_t first = (x >> 33) % (chunks - 1);
+    uint64_t last = first + 1 + (x >> 17) % (chunks - first - 1 + 1);
+    net::StatRangeRequest req{
+        uuid,
+        {static_cast<Timestamp>(first * kDelta),
+         static_cast<Timestamp>(last * kDelta)}};
+    return req.Encode();
+  };
+
   std::printf(
       "== pipelined queries over loopback TCP: %llu GetStatRange round "
       "trips on one socket ==\n",
@@ -354,18 +437,11 @@ void BenchPipelinedTcpQueries(uint64_t chunks, uint64_t queries,
         inflight.pop_front();
       }
     };
-    uint64_t x = 0x2545f4914f6cdd1dULL;
+    x = kSeed;  // every window runs the same query sequence
     WallTimer timer;
     for (uint64_t q = 0; q < queries; ++q) {
-      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-      uint64_t first = (x >> 33) % (chunks - 1);
-      uint64_t last = first + 1 + (x >> 17) % (chunks - first - 1 + 1);
-      net::StatRangeRequest req{
-          uuid,
-          {static_cast<Timestamp>(first * kDelta),
-           static_cast<Timestamp>(last * kDelta)}};
       inflight.push_back((*client)->AsyncCall(net::MessageType::kGetStatRange,
-                                              req.Encode()));
+                                              next_request()));
       pump(window - 1);
     }
     pump(0);
@@ -376,7 +452,58 @@ void BenchPipelinedTcpQueries(uint64_t chunks, uint64_t queries,
                 FmtMicros(wall * 1e6).c_str(), rate / 1000.0,
                 rate / base_rate);
   }
+  std::printf("\n");
+
+  // One call in flight, three ways: a blocking Call reads its own
+  // response; AsyncCall().Wait() is completed by the client's reader
+  // thread (one more thread hop); the raw ping-pong moves the same frame
+  // sizes over a bare loopback socket — the floor both sit above.
+  Bytes sample = next_request();
+  auto reply = (*client)->Call(net::MessageType::kGetStatRange, sample);
+  if (!reply.ok()) std::abort();
+  size_t request_bytes = net::EncodeFrame(net::MessageType::kGetStatRange, 1,
+                                          sample).size();
+  size_t response_bytes =
+      net::EncodeFrame(net::MessageType::kResponse, 1,
+                       net::EncodeResponseBody(Status::Ok(), *reply))
+          .size();
+  std::printf("== one call in flight: %llu round trips ==\n",
+              static_cast<unsigned long long>(queries));
+  std::printf("%-22s %10s %11s\n", "mode", "median", "queries/s");
+  auto row = [&](const char* mode, const std::function<void()>& round_trip) {
+    std::vector<double> samples;
+    samples.reserve(queries);
+    WallTimer total;
+    for (uint64_t q = 0; q < queries; ++q) {
+      WallTimer one;
+      round_trip();
+      samples.push_back(one.Seconds() * 1e6);
+    }
+    double rate = static_cast<double>(queries) / total.Seconds();
+    std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
+                     samples.end());
+    std::printf("%-22s %10s %10.1fk\n", mode,
+                FmtMicros(samples[samples.size() / 2]).c_str(),
+                rate / 1000.0);
+  };
+  row("TcpClient::Call", [&] {
+    if (!(*client)->Call(net::MessageType::kGetStatRange, next_request())
+             .ok()) {
+      std::abort();
+    }
+  });
+  row("AsyncCall().Wait()", [&] {
+    if (!(*client)
+             ->AsyncCall(net::MessageType::kGetStatRange, next_request())
+             .Wait()
+             .ok()) {
+      std::abort();
+    }
+  });
   server.Stop();
+
+  LoopbackPingPong raw(request_bytes, response_bytes);
+  row("raw loopback ping-pong", [&] { raw.RoundTrip(); });
   std::printf("\n");
 }
 

@@ -5,7 +5,11 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/timerfd.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -29,6 +33,9 @@ struct WireVolume {
   metrics::Counter& rx_frames;
   metrics::Counter& tx_bytes;
   metrics::Counter& tx_frames;
+  // Requests (server) or blocking callers' responses (client) completed by
+  // a thread other than the one that read them / waits for them.
+  metrics::Counter& handoffs;
 };
 
 WireVolume& ServerVolume() {
@@ -36,7 +43,8 @@ WireVolume& ServerVolume() {
       metrics::GetCounter("tc_net_rx_bytes_total", "side=\"server\""),
       metrics::GetCounter("tc_net_rx_frames_total", "side=\"server\""),
       metrics::GetCounter("tc_net_tx_bytes_total", "side=\"server\""),
-      metrics::GetCounter("tc_net_tx_frames_total", "side=\"server\"")};
+      metrics::GetCounter("tc_net_tx_frames_total", "side=\"server\""),
+      metrics::GetCounter("tc_net_handoffs_total", "side=\"server\"")};
   return v;
 }
 
@@ -45,7 +53,8 @@ WireVolume& ClientVolume() {
       metrics::GetCounter("tc_net_rx_bytes_total", "side=\"client\""),
       metrics::GetCounter("tc_net_rx_frames_total", "side=\"client\""),
       metrics::GetCounter("tc_net_tx_bytes_total", "side=\"client\""),
-      metrics::GetCounter("tc_net_tx_frames_total", "side=\"client\"")};
+      metrics::GetCounter("tc_net_tx_frames_total", "side=\"client\""),
+      metrics::GetCounter("tc_net_handoffs_total", "side=\"client\"")};
   return v;
 }
 
@@ -59,7 +68,13 @@ metrics::Gauge& ServerInflightGauge() {
   return g;
 }
 
-/// Demux depth: calls registered with the client reader, awaiting responses.
+metrics::Counter& AcceptErrors() {
+  static metrics::Counter& c =
+      metrics::GetCounter("tc_net_accept_errors_total");
+  return c;
+}
+
+/// Demux depth: client calls registered and awaiting responses.
 metrics::Gauge& ClientPendingGauge() {
   static metrics::Gauge& g = metrics::GetGauge("tc_net_client_pending");
   return g;
@@ -71,11 +86,28 @@ metrics::Counter& ClientOpTimeouts() {
   return c;
 }
 
+/// Receive buffer granularity: one recv pass reads at most this much
+/// beyond a frame that is larger.
+constexpr size_t kReadChunk = 64u << 10;
+
+/// How long the listener stays parked after a resource-exhaustion accept
+/// error when no connection closes to free a descriptor first.
+constexpr int64_t kAcceptBackoffMs = 100;
+
 /// Connection serials seed the per-request trace ids (serial << 32 |
 /// request_id) so ids from different connections never collide.
 uint64_t NextConnSerial() {
   static std::atomic<uint64_t> serial{0};
   return serial.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+/// Small per-thread id: the server tags each request with its reader's so
+/// the thread that runs it can tell whether it crossed threads.
+uint32_t ThreadSerial() {
+  static std::atomic<uint32_t> next{0};
+  thread_local uint32_t serial =
+      next.fetch_add(1, std::memory_order_relaxed) + 1;
+  return serial;
 }
 
 int64_t SteadyNowMs() {
@@ -84,18 +116,51 @@ int64_t SteadyNowMs() {
       .count();
 }
 
-/// Read + decode one frame header. `max_body` bounds the claimed body size;
-/// pass UINT32_MAX to defer the bound to the caller (the server does, so it
-/// can answer the offending request id with a clean status).
-Result<FrameHeader> ReadFrameHeader(int fd, size_t max_body) {
-  Bytes header(kFrameHeaderBytes);
-  TC_RETURN_IF_ERROR(ReadExact(fd, header));
-  return DecodeFrameHeader(header, max_body);
+void CloseFds(std::initializer_list<int*> fds) {
+  for (int* fd : fds) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
 }
 
 void SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+/// Send whole frames with as few syscalls as the socket allows: one
+/// sendmsg gathers up to kMaxIov frames, partial writes resume mid-frame.
+Status WriteFrames(int fd, const std::vector<Bytes>& frames) {
+  constexpr size_t kMaxIov = 64;
+  size_t frame = 0;
+  size_t offset = 0;  // bytes of frames[frame] already sent
+  while (frame < frames.size()) {
+    iovec iov[kMaxIov];
+    size_t n = 0;
+    for (size_t f = frame; f < frames.size() && n < kMaxIov; ++f, ++n) {
+      size_t skip = f == frame ? offset : 0;
+      iov[n].iov_base = const_cast<uint8_t*>(frames[f].data()) + skip;
+      iov[n].iov_len = frames[f].size() - skip;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n;
+    // MSG_NOSIGNAL: writing into a peer-closed socket must surface as
+    // EPIPE, not kill the process with SIGPIPE.
+    ssize_t sent = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (sent < 0) {
+      if (errno == EINTR) continue;
+      return Unavailable(std::string("write failed: ") + std::strerror(errno));
+    }
+    size_t left = static_cast<size_t>(sent);
+    while (frame < frames.size() && left >= frames[frame].size() - offset) {
+      left -= frames[frame].size() - offset;
+      ++frame;
+      offset = 0;
+    }
+    offset += left;
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -131,49 +196,151 @@ Status WriteAll(int fd, BytesView data) {
   return Status::Ok();
 }
 
+// ---------------------------------------------------------- shared framing
+
+namespace detail {
+
+Outbox::Flushed Outbox::Send(int fd, Bytes frame, size_t counted) {
+  {
+    MutexLock lock(mu_);
+    if (!failed_.ok()) return {failed_, counted};
+    queue_.push_back(std::move(frame));
+    queued_counted_ += counted;
+    if (flushing_) return {};  // the active flusher sends it
+    flushing_ = true;
+  }
+  Flushed out;
+  std::vector<Bytes> batch;
+  for (;;) {
+    size_t batch_counted = 0;
+    {
+      MutexLock lock(mu_);
+      if (!out.status.ok()) {
+        // A failed send poisons the stream: drop what is queued behind it.
+        failed_ = out.status;
+        out.finished += queued_counted_;
+        queued_counted_ = 0;
+        queue_.clear();
+      }
+      if (queue_.empty()) {
+        flushing_ = false;
+        return out;
+      }
+      batch.clear();
+      batch.swap(queue_);
+      batch_counted = std::exchange(queued_counted_, 0);
+    }
+    // Outside the lock: writers keep appending while this thread sends.
+    out.status = WriteFrames(fd, batch);
+    out.finished += batch_counted;
+  }
+}
+
+bool FrameReader::Fill(int fd, Status& status) {
+  if (buf_.empty()) buf_.resize(kReadChunk);
+  if (end_ == buf_.size()) {
+    if (begin_ > 0) {
+      std::copy(buf_.begin() + static_cast<ptrdiff_t>(begin_),
+                buf_.begin() + static_cast<ptrdiff_t>(end_), buf_.begin());
+      end_ -= begin_;
+      begin_ = 0;
+    } else {
+      buf_.resize(buf_.size() * 2);
+    }
+  }
+  for (;;) {
+    ssize_t n = ::recv(fd, buf_.data() + end_, buf_.size() - end_,
+                       MSG_DONTWAIT);
+    if (n > 0) {
+      end_ += static_cast<size_t>(n);
+      return true;
+    }
+    if (n == 0) {
+      status = Unavailable("connection closed");
+      return false;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+    status = Unavailable(std::string("read failed: ") + std::strerror(errno));
+    return false;
+  }
+}
+
+std::optional<Result<FrameHeader>> FrameReader::PeekHeader(size_t max_body) {
+  if (end_ - begin_ < kFrameHeaderBytes) return std::nullopt;
+  auto header = DecodeFrameHeader(
+      BytesView(buf_.data() + begin_, kFrameHeaderBytes), max_body);
+  if (header.ok()) {
+    body_len_ = header->body_len;
+    frame_len_ = kFrameHeaderBytes + body_len_;
+  }
+  return header;
+}
+
+bool FrameReader::Complete() {
+  if (end_ - begin_ >= frame_len_) return true;
+  if (buf_.size() - begin_ < frame_len_) {
+    std::copy(buf_.begin() + static_cast<ptrdiff_t>(begin_),
+              buf_.begin() + static_cast<ptrdiff_t>(end_), buf_.begin());
+    end_ -= begin_;
+    begin_ = 0;
+    if (buf_.size() < frame_len_) buf_.resize(frame_len_);
+  }
+  return false;
+}
+
+BytesView FrameReader::Body() const {
+  return BytesView(buf_.data() + begin_ + (frame_len_ - body_len_),
+                   body_len_);
+}
+
+size_t FrameReader::Consume() {
+  size_t consumed = frame_len_;
+  begin_ += frame_len_;
+  frame_len_ = body_len_ = 0;
+  if (begin_ == end_) {
+    begin_ = end_ = 0;
+    // Give back the room a large frame needed.
+    if (buf_.size() > kReadChunk) {
+      buf_.resize(kReadChunk);
+      buf_.shrink_to_fit();
+    }
+  }
+  return consumed;
+}
+
+}  // namespace detail
+
 // ---------------------------------------------------------------- server
 
-struct TcpServer::Conn {
+struct TcpServer::Conn : std::enable_shared_from_this<Conn> {
   explicit Conn(int fd_in) : fd(fd_in), serial(NextConnSerial()) {}
   ~Conn() { ::close(fd); }
 
   const int fd;
   const uint64_t serial;  // trace-id seed for requests on this connection
-  std::atomic<bool> alive{true};
 
-  // Serializes response frames: concurrent handlers interleave whole
-  // frames, never bytes (the per-connection "write queue" at frame
-  // granularity).
-  Mutex write_mu;
+  // Read-turn state. EPOLLONESHOT and `paused` already give one thread at
+  // a time the read turn; the uncontended lock makes the handoff visible
+  // to the thread-safety tools.
+  Mutex read_mu;
+  detail::FrameReader reader GUARDED_BY(read_mu);
+  bool eof GUARDED_BY(read_mu) = false;  // close once buffered frames ran
+
+  detail::Outbox outbox;
 
   // Mutation FIFO: same-connection mutations run one at a time, in arrival
-  // order, on a single chained dispatch task.
+  // order, on a single chained drain.
   Mutex q_mu;
-  std::deque<std::pair<FrameHeader, Bytes>> mutations GUARDED_BY(q_mu);
+  std::deque<Work> mutations GUARDED_BY(q_mu);
   bool mutation_task_running GUARDED_BY(q_mu) = false;
 
-  // Requests queued or executing for this connection; the reader blocks at
-  // the cap so a fast pipeliner cannot queue unbounded work.
+  // Requests running or awaiting their response's send. At the cap the
+  // read turn parks (`paused`) instead of re-arming; FinishRequests
+  // resumes it.
   Mutex inflight_mu;
-  CondVar inflight_cv;
   size_t inflight GUARDED_BY(inflight_mu) = 0;
-
-  void WriteResponse(uint64_t request_id, const Result<Bytes>& result) {
-    Bytes body = result.ok() ? EncodeResponseBody(Status::Ok(), *result)
-                             : EncodeResponseBody(result.status(), {});
-    Bytes frame = EncodeFrame(MessageType::kResponse, request_id, body);
-    if constexpr (metrics::kEnabled) {
-      ServerVolume().tx_frames.Inc();
-      ServerVolume().tx_bytes.Inc(frame.size());
-    }
-    MutexLock lock(write_mu);
-    // tc_analyze:allow(blocking-under-lock,blocking-in-executor) write_mu exists to serialize whole frames onto the socket — the write IS its critical section — and dispatch-pool handlers are the intended writers until the epoll rewrite (ROADMAP, gated on green B2)
-    if (!WriteAll(fd, frame).ok()) {
-      // Peer is gone or wedged shut: stop the reader too.
-      alive = false;
-      ::shutdown(fd, SHUT_RDWR);
-    }
-  }
+  bool paused GUARDED_BY(inflight_mu) = false;
 };
 
 TcpServer::TcpServer(std::shared_ptr<RequestHandler> handler, uint16_t port,
@@ -188,7 +355,8 @@ TcpServer::TcpServer(std::shared_ptr<RequestHandler> handler, uint16_t port,
 TcpServer::~TcpServer() { Stop(); }
 
 Status TcpServer::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                        0);
   if (listen_fd_ < 0) return Unavailable("socket() failed");
   int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -198,194 +366,399 @@ Status TcpServer::Start() {
   addr.sin_addr.s_addr = htonl(options_.bind_any ? INADDR_ANY
                                                  : INADDR_LOOPBACK);
   addr.sin_port = htons(port_);
+  // Every failure below closes what it opened: Stop() never runs for a
+  // server that failed to start, so a leaked listener would outlive every
+  // retry.
+  auto fail = [this](std::string what) {
+    CloseFds({&listen_fd_, &epoll_fd_, &wake_fd_, &backoff_fd_});
+    return Unavailable(std::move(what));
+  };
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    // Close before returning: Stop() never runs for a server that failed
-    // to start, so a leaked listener would outlive every retry.
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Unavailable(std::string("bind failed: ") + std::strerror(errno));
+    return fail(std::string("bind failed: ") + std::strerror(errno));
   }
   if (port_ == 0) {
     socklen_t len = sizeof(addr);
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
     port_ = ntohs(addr.sin_port);
   }
-  if (::listen(listen_fd_, 64) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Unavailable("listen failed");
+  if (::listen(listen_fd_, 64) != 0) return fail("listen failed");
+
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  backoff_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
+  if (epoll_fd_ < 0 || wake_fd_ < 0 || backoff_fd_ < 0) {
+    return fail(std::string("epoll setup failed: ") + std::strerror(errno));
   }
+  // The wake eventfd is level-triggered: a kick stays visible until the
+  // leader that takes it drains it. The backoff timer is edge-triggered:
+  // each expiry is one event.
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.ptr = &wake_fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
+  ev.events = EPOLLIN | EPOLLET;
+  ev.data.ptr = &backoff_fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, backoff_fd_, &ev);
+  // The listener is armed one-shot, like connections: one thread at a time
+  // accepts, and a persistent accept error can leave it parked.
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.ptr = &listen_fd_;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
+    return fail(std::string("epoll_ctl failed: ") + std::strerror(errno));
+  }
+
   size_t threads = options_.dispatch_threads;
   if (threads == 0) {
     threads = std::max<size_t>(2, std::thread::hardware_concurrency());
   }
-  dispatch_ = std::make_unique<Executor>(threads, "dispatch");
   running_ = true;
-  acceptor_ = std::thread([this] { AcceptLoop(); });
+  for (size_t i = 0; i < threads; ++i) {
+    pool_.emplace_back([this] { PoolLoop(); });
+  }
   return Status::Ok();
 }
 
 void TcpServer::Stop() {
   if (!running_.exchange(false)) return;
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  if (acceptor_.joinable()) acceptor_.join();
-
-  // Connection readers block in read() or on the inflight cap; shut their
-  // sockets down and wake the cap waiters so the blocked readers return
-  // before we join. Each reader deregisters its connection on exit, so
-  // joining must happen outside the lock.
-  std::vector<std::shared_ptr<Conn>> conns;
-  std::vector<std::thread> to_join;
   {
-    MutexLock lock(threads_mu_);
-    conns = connections_;
-    to_join.swap(connection_threads_);
+    MutexLock lock(mu_);
+    stopping_ = true;
   }
-  for (auto& conn : conns) {
-    conn->alive = false;
-    ::shutdown(conn->fd, SHUT_RDWR);
-    conn->inflight_cv.NotifyAll();
+  followers_cv_.NotifyAll();
+  uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+  // Handlers may be blocked sending to peers that stopped reading; shut
+  // every socket down so those sends fail and the pool can drain.
+  {
+    MutexLock lock(conns_mu_);
+    for (auto& [ptr, conn] : conns_) ::shutdown(conn->fd, SHUT_RDWR);
   }
-  for (auto& t : to_join) {
+  // Pool threads finish queued work (completions must fire), then exit.
+  for (auto& t : pool_) {
     if (t.joinable()) t.join();
   }
-  // Drain in-flight dispatch tasks; their Conn references drop as they
-  // finish, closing the fds.
-  dispatch_.reset();
-  MutexLock lock(threads_mu_);
-  connections_.clear();
+  pool_.clear();
+  {
+    MutexLock lock(conns_mu_);
+    conns_.clear();
+  }
+  CloseFds({&listen_fd_, &epoll_fd_, &wake_fd_, &backoff_fd_});
 }
 
-void TcpServer::AcceptLoop() {
+void TcpServer::PoolLoop() {
+  for (;;) {
+    Work work;
+    {
+      MutexLock lock(mu_);
+      for (;;) {
+        if (!ready_.empty()) {
+          work = std::move(ready_.front());
+          ready_.pop_front();
+          break;
+        }
+        if (stopping_) return;
+        if (!leader_) {
+          leader_ = true;
+          break;
+        }
+        ++idle_;
+        followers_cv_.Wait(mu_);
+        --idle_;
+      }
+    }
+    if (work.conn) {
+      Run(work);
+    } else {
+      Lead();
+    }
+  }
+}
+
+void TcpServer::Lead() {
+  epoll_event ev{};
+  int n = ::epoll_wait(epoll_fd_, &ev, 1, -1);
+  bool kicked = n == 1 && ev.data.ptr == &wake_fd_;
+  if (kicked) {
+    // Drain before clearing kicked_, so a kick that lands after the drain
+    // is never lost behind a stale flag.
+    uint64_t count = 0;
+    [[maybe_unused]] ssize_t r = ::read(wake_fd_, &count, sizeof(count));
+  }
+  {
+    MutexLock lock(mu_);
+    leader_ = false;
+    if (kicked) kicked_ = false;
+  }
+  // Promote a follower before serving, so the next event does not wait
+  // for this one's handler.
+  followers_cv_.NotifyOne();
+  if (n != 1 || kicked) return;  // EINTR, or back to the loop for work
+  if (ev.data.ptr == &backoff_fd_) {
+    uint64_t expirations = 0;
+    [[maybe_unused]] ssize_t r =
+        ::read(backoff_fd_, &expirations, sizeof(expirations));
+    if (accept_paused_.exchange(false)) ArmListener();
+  } else if (ev.data.ptr == &listen_fd_) {
+    AcceptAll();
+  } else {
+    std::shared_ptr<Conn> conn = static_cast<Conn*>(ev.data.ptr)
+                                     ->shared_from_this();
+    Serve(conn);
+  }
+}
+
+void TcpServer::ArmListener() {
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.ptr = &listen_fd_;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
+}
+
+void TcpServer::AcceptAll() {
   while (running_) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
+    int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
-      if (!running_) break;
-      continue;
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      // EMFILE, ENFILE, ENOBUFS, ENOMEM: the connection stays queued and
+      // the listener stays readable, so retrying now would spin. Park the
+      // listener until a connection closes or the backoff timer fires.
+      AcceptErrors().Inc();
+      accept_paused_ = true;
+      itimerspec backoff{};
+      backoff.it_value.tv_sec = kAcceptBackoffMs / 1000;
+      backoff.it_value.tv_nsec = (kAcceptBackoffMs % 1000) * 1'000'000;
+      ::timerfd_settime(backoff_fd_, 0, &backoff, nullptr);
+      return;
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Conn>(fd);
     ServerConnsGauge().Inc();
-    MutexLock lock(threads_mu_);
-    connections_.push_back(conn);
-    connection_threads_.emplace_back(
-        [this, conn = std::move(conn)] { ServeConnection(conn); });
+    {
+      MutexLock lock(conns_mu_);
+      conns_.emplace(conn.get(), conn);
+    }
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLONESHOT;
+    ev.data.ptr = conn.get();
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+  }
+  ArmListener();
+}
+
+void TcpServer::Serve(const std::shared_ptr<Conn>& conn) {
+  std::vector<Work> work;
+  std::optional<FrameHeader> oversized;
+  bool paused = false;
+  bool eof = false;
+  {
+    MutexLock lock(conn->read_mu);
+    // Cut every complete frame out of the buffer, up to the inflight cap.
+    // Frames left buffered by a turn that hit the cap go first; the socket
+    // is read when none is left, again only while a recv fills the buffer.
+    bool filled = conn->eof;
+    for (;;) {
+      auto header = conn->reader.PeekHeader(UINT32_MAX);
+      if (header && (*header)->body_len > options_.max_frame_body) {
+        oversized = **header;
+        break;
+      }
+      if (!header || !conn->reader.Complete()) {
+        if (filled && (conn->eof || !conn->reader.full())) break;
+        filled = true;
+        Status status;
+        if (!running_ || !conn->reader.Fill(conn->fd, status)) {
+          conn->eof = true;
+        }
+        continue;
+      }
+      {
+        MutexLock inflight_lock(conn->inflight_mu);
+        if (conn->inflight >= options_.max_inflight_per_conn) {
+          conn->paused = paused = true;
+          break;
+        }
+        ++conn->inflight;
+      }
+      ServerInflightGauge().Inc();
+      BytesView body = conn->reader.Body();
+      Work item{Work::Kind::kRequest, conn, **header,
+                Bytes(body.begin(), body.end()), ThreadSerial()};
+      size_t frame_bytes = conn->reader.Consume();
+      if constexpr (metrics::kEnabled) {
+        ServerVolume().rx_frames.Inc();
+        ServerVolume().rx_bytes.Inc(frame_bytes);
+      }
+      if (!IsMutation(item.header.type)) {
+        work.push_back(std::move(item));
+        continue;
+      }
+      MutexLock q_lock(conn->q_mu);
+      conn->mutations.push_back(std::move(item));
+      if (!conn->mutation_task_running) {
+        conn->mutation_task_running = true;
+        work.push_back(Work{Work::Kind::kDrain, conn, {}, {}, 0});
+      }
+    }
+    eof = conn->eof;
+  }
+
+  // Hand the read turn on before running anything: a paused connection is
+  // resumed by FinishRequests, a live one by its next epoll event.
+  if (oversized) {
+    // Bound enforcement is split so the offending request id is known: an
+    // oversized claim gets a clean error response (no allocation), then
+    // the connection drops — framing past an unread body cannot be
+    // trusted.
+    Respond(conn, oversized->request_id,
+            InvalidArgument("frame body of " +
+                            std::to_string(oversized->body_len) +
+                            " bytes exceeds this server's max of " +
+                            std::to_string(options_.max_frame_body)),
+            0);
+    CloseConn(conn);
+  } else if (paused) {
+    // FinishRequests queues the next read turn.
+  } else if (eof) {
+    CloseConn(conn);
+  } else {
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLONESHOT;
+    ev.data.ptr = conn.get();
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+  }
+  if (work.empty()) return;
+  Enqueue(work, 1);
+  Run(work.front());
+}
+
+void TcpServer::CloseConn(const std::shared_ptr<Conn>& conn) {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+  // Stop reading; requests in flight may still write responses. The fd
+  // closes when the last Conn reference drops — never while a handler
+  // could write to a reused descriptor.
+  ::shutdown(conn->fd, SHUT_RD);
+  ServerConnsGauge().Dec();
+  {
+    MutexLock lock(conns_mu_);
+    conns_.erase(conn.get());
+  }
+  // A freed descriptor is the cue to retry an accept that failed for lack
+  // of one.
+  if (accept_paused_.exchange(false)) ArmListener();
+}
+
+void TcpServer::Enqueue(std::vector<Work>& work, size_t first) {
+  if (first >= work.size()) return;
+  size_t wake = 0;
+  bool kick = false;
+  {
+    MutexLock lock(mu_);
+    for (size_t i = first; i < work.size(); ++i) {
+      ready_.push_back(std::move(work[i]));
+    }
+    wake = std::min(idle_, work.size() - first);
+    // Not enough idle followers: the leader leaves epoll_wait to help.
+    if (wake < work.size() - first && leader_ && !kicked_) {
+      kicked_ = kick = true;
+    }
+  }
+  for (size_t i = 0; i < wake; ++i) followers_cv_.NotifyOne();
+  if (kick) {
+    uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   }
 }
 
-void TcpServer::FinishRequest(const std::shared_ptr<Conn>& conn) {
-  ServerInflightGauge().Dec();
-  MutexLock lock(conn->inflight_mu);
-  --conn->inflight;
-  conn->inflight_cv.NotifyAll();
+void TcpServer::Run(Work& work) {
+  switch (work.kind) {
+    case Work::Kind::kRequest:
+      HandleRequest(work.conn, work.header, work.body, work.reader);
+      return;
+    case Work::Kind::kDrain:
+      DrainMutations(work.conn);
+      return;
+    case Work::Kind::kRead:
+      Serve(work.conn);
+      return;
+  }
 }
 
 void TcpServer::HandleRequest(const std::shared_ptr<Conn>& conn,
-                              const FrameHeader& header, const Bytes& body) {
-  // Stamp the trace context on the dispatching thread: adopt the wire's
-  // trace id when the caller sent one (a routed/shipped hop inside a larger
+                              const FrameHeader& header, const Bytes& body,
+                              uint32_t reader) {
+  // Stamp the trace context on the handling thread: adopt the wire's trace
+  // id when the caller sent one (a routed/shipped hop inside a larger
   // request), else derive the origin id (connection serial | request id).
   // TraceSpans opened inside the handler inherit it and parent under the
   // caller's span.
   if constexpr (metrics::kEnabled) {
+    if (reader != ThreadSerial()) ServerVolume().handoffs.Inc();
     uint64_t trace_id =
         header.trace_id != 0
             ? header.trace_id
             : (conn->serial << 32) | (header.request_id & 0xffffffff);
     metrics::SetCurrentTraceContext({trace_id, header.parent_span_id});
   }
-  conn->WriteResponse(header.request_id,
-                      handler_->Handle(header.type, body));
+  Respond(conn, header.request_id, handler_->Handle(header.type, body), 1);
   if constexpr (metrics::kEnabled) metrics::SetCurrentTraceContext({});
 }
 
+void TcpServer::Respond(const std::shared_ptr<Conn>& conn,
+                        uint64_t request_id, const Result<Bytes>& result,
+                        size_t counted) {
+  Bytes body = result.ok() ? EncodeResponseBody(Status::Ok(), *result)
+                           : EncodeResponseBody(result.status(), {});
+  Bytes frame = EncodeFrame(MessageType::kResponse, request_id, body);
+  if constexpr (metrics::kEnabled) {
+    ServerVolume().tx_frames.Inc();
+    ServerVolume().tx_bytes.Inc(frame.size());
+  }
+  detail::Outbox::Flushed sent =
+      conn->outbox.Send(conn->fd, std::move(frame), counted);
+  // Peer is gone or wedged shut: wake the read turn so it closes.
+  if (!sent.status.ok()) ::shutdown(conn->fd, SHUT_RDWR);
+  FinishRequests(conn, sent.finished);
+}
+
 void TcpServer::DrainMutations(const std::shared_ptr<Conn>& conn) {
-  // One drain task exists per connection at a time, so mutations apply in
-  // exactly the order the client sent them even though they share the
-  // dispatch executor with everything else.
+  // One drain runs per connection at a time, so mutations apply in exactly
+  // the order the client sent them even though they share the pool with
+  // everything else.
   for (;;) {
-    FrameHeader header;
-    Bytes body;
+    Work item;
     {
       MutexLock lock(conn->q_mu);
       if (conn->mutations.empty()) {
         conn->mutation_task_running = false;
         return;
       }
-      header = conn->mutations.front().first;
-      body = std::move(conn->mutations.front().second);
+      item = std::move(conn->mutations.front());
       conn->mutations.pop_front();
     }
-    HandleRequest(conn, header, body);
-    FinishRequest(conn);
+    HandleRequest(conn, item.header, item.body, item.reader);
   }
 }
 
-void TcpServer::ServeConnection(std::shared_ptr<Conn> conn) {
-  while (running_ && conn->alive) {
-    // Bound enforcement is split so the offending request id is known: an
-    // oversized claim gets a clean error response (no allocation), then the
-    // connection drops — framing past an unread body cannot be trusted.
-    auto header = ReadFrameHeader(conn->fd, UINT32_MAX);
-    if (!header.ok()) break;  // peer closed or corrupt stream
-    if (header->body_len > options_.max_frame_body) {
-      conn->WriteResponse(
-          header->request_id,
-          InvalidArgument("frame body of " + std::to_string(header->body_len) +
-                          " bytes exceeds this server's max of " +
-                          std::to_string(options_.max_frame_body)));
-      break;
-    }
-    Bytes body(header->body_len);
-    if (!ReadExact(conn->fd, body).ok()) break;
-    if constexpr (metrics::kEnabled) {
-      ServerVolume().rx_frames.Inc();
-      // tc_analyze:allow(bounded-decode) byte accounting, not header parsing
-      ServerVolume().rx_bytes.Inc(kFrameHeaderBytes + body.size());
-    }
-
-    {
-      MutexLock lock(conn->inflight_mu);
-      while (conn->inflight >= options_.max_inflight_per_conn && running_ &&
-             conn->alive) {
-        conn->inflight_cv.Wait(conn->inflight_mu);
-      }
-      if (!running_ || !conn->alive) break;
-      ++conn->inflight;
-    }
-    ServerInflightGauge().Inc();
-
-    if (IsMutation(header->type)) {
-      bool submit = false;
-      {
-        MutexLock lock(conn->q_mu);
-        conn->mutations.emplace_back(*header, std::move(body));
-        if (!conn->mutation_task_running) {
-          conn->mutation_task_running = true;
-          submit = true;
-        }
-      }
-      if (submit) {
-        dispatch_->Submit([this, conn] { DrainMutations(conn); });
-      }
-    } else {
-      dispatch_->Submit([this, conn, header = *header,
-                         body = std::move(body)] {
-        HandleRequest(conn, header, body);
-        FinishRequest(conn);
-      });
+void TcpServer::FinishRequests(const std::shared_ptr<Conn>& conn, size_t n) {
+  if (n == 0) return;
+  ServerInflightGauge().Dec(static_cast<int64_t>(n));
+  bool resume = false;
+  {
+    MutexLock lock(conn->inflight_mu);
+    conn->inflight -= n;
+    if (conn->paused && conn->inflight < options_.max_inflight_per_conn) {
+      conn->paused = false;
+      resume = true;
     }
   }
-  // Stop reading; in-flight dispatch tasks may still write responses. The
-  // fd closes when the last Conn reference (a task or this reader) drops —
-  // never while a handler could write to a reused descriptor.
-  ::shutdown(conn->fd, SHUT_RD);
-  ServerConnsGauge().Dec();
-  MutexLock lock(threads_mu_);
-  std::erase(connections_, conn);
+  if (resume) {
+    std::vector<Work> turn;
+    turn.push_back(Work{Work::Kind::kRead, conn, {}, {}, 0});
+    Enqueue(turn, 0);
+  }
 }
 
 // ---------------------------------------------------------------- client
@@ -442,12 +815,18 @@ Result<std::unique_ptr<TcpClient>> TcpClient::Connect(
   return std::unique_ptr<TcpClient>(new TcpClient(fd, max_frame_body));
 }
 
+struct TcpClient::Waiter {
+  CondVar cv;
+  bool done = false;
+  Result<Bytes> result{Bytes{}};
+};
+
 TcpClient::TcpClient(int fd, size_t max_frame_body)
     : max_frame_body_(max_frame_body), fd_(fd) {
-  // Self-pipe: AsyncCall nudges the reader out of an open-ended poll when
-  // the pending set (and thus the next deadline) changes. On the unlikely
-  // pipe() failure the client still works; op-timeout wakeups just lean on
-  // the poll granularity below.
+  // Self-pipe: SetOpTimeout nudges the read-role holder out of an
+  // open-ended poll when every pending deadline changes. On the unlikely
+  // pipe() failure the client still works; a changed timeout is then
+  // noticed at the holder's next wake.
   if (::pipe(wake_fds_) == 0) {
     SetNonBlocking(wake_fds_[0]);
     SetNonBlocking(wake_fds_[1]);
@@ -467,14 +846,13 @@ TcpClient::~TcpClient() {
 
 Status TcpClient::SetOpTimeout(int64_t timeout_ms) {
   // Send side: a wedged peer must fail a write, not park it forever. The
-  // receive side is enforced by the reader's poll deadline over the oldest
-  // pending call; SO_RCVTIMEO additionally backstops a peer that stalls
-  // mid-frame (poll cannot fire while the reader is inside ReadExact).
+  // receive side is enforced by the read-role holder's poll deadline over
+  // the oldest pending call (reads never block mid-frame: the holder only
+  // recv()s what poll reported).
   timeval tv{};
   tv.tv_sec = timeout_ms / 1000;
   tv.tv_usec = (timeout_ms % 1000) * 1000;
-  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0 ||
-      ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
+  if (::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
     return Unavailable("setting socket timeouts failed");
   }
   op_timeout_ms_.store(timeout_ms);
@@ -485,19 +863,23 @@ Status TcpClient::SetOpTimeout(int64_t timeout_ms) {
     int64_t deadline = timeout_ms > 0 ? SteadyNowMs() + timeout_ms : 0;
     for (auto& [id, p] : pending_) p.deadline_ms = deadline;
   }
-  WakeReader();
+  // Nudge the read-role holder out of a poll sized to the old deadlines.
+  if (wake_fds_[1] >= 0) {
+    char byte = 1;
+    [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &byte, 1);
+  }
   return Status::Ok();
 }
 
-void TcpClient::WakeReader() {
-  if (wake_fds_[1] < 0) return;
-  char byte = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &byte, 1);
+int64_t TcpClient::NewDeadline() const {
+  int64_t t = op_timeout_ms_.load();
+  return t > 0 ? SteadyNowMs() + t : 0;
 }
 
 void TcpClient::FailConnection(const Status& status) {
   std::vector<CallCompleter> victims;
   Status final_status;
+  size_t failed = 0;
   {
     MutexLock lock(mu_);
     if (!closed_) {
@@ -505,18 +887,45 @@ void TcpClient::FailConnection(const Status& status) {
       conn_status_ = status.ok() ? Unavailable("connection closed") : status;
     }
     final_status = conn_status_;
-    victims.reserve(pending_.size());
-    for (auto& [id, p] : pending_) victims.push_back(p.completer);
+    failed = pending_.size();
+    for (auto& [id, p] : pending_) {
+      if (p.waiter != nullptr) {
+        p.waiter->result = final_status;
+        p.waiter->done = true;
+        p.waiter->cv.NotifyOne();
+      } else {
+        victims.push_back(std::move(*p.completer));
+      }
+    }
     pending_.clear();
+    uncovered_ = 0;
+    reader_cv_.NotifyAll();
   }
-  if (!victims.empty()) {
-    ClientPendingGauge().Dec(static_cast<int64_t>(victims.size()));
-  }
+  if (failed > 0) ClientPendingGauge().Dec(static_cast<int64_t>(failed));
+  // Wakes the read-role holder out of poll (the socket reports hangup).
   ::shutdown(fd_, SHUT_RDWR);
-  WakeReader();
   // Error fan-out: every call still in flight fails with the connection's
   // terminal status. Completed outside the lock — callbacks may Wait().
   for (auto& v : victims) v.Complete(final_status);
+}
+
+void TcpClient::Send(MessageType type, uint64_t request_id, BytesView body) {
+  // Stamp the caller's live trace context on the frame so the server's
+  // spans land in the same trace, under the span issuing this call.
+  metrics::TraceContext ctx;
+  if constexpr (metrics::kEnabled) ctx = metrics::OutgoingTraceContext();
+  Bytes frame = EncodeFrame(type, request_id, body, ctx.trace_id,
+                            ctx.parent_span_id);
+  if constexpr (metrics::kEnabled) {
+    ClientVolume().tx_frames.Inc();
+    ClientVolume().tx_bytes.Inc(frame.size());
+  }
+  detail::Outbox::Flushed sent = out_.Send(fd_, std::move(frame));
+  if (!sent.status.ok()) {
+    // A mid-frame write failure poisons the stream for every later frame;
+    // fail the connection (this call is still pending, so it fans out too).
+    FailConnection(sent.status);
+  }
 }
 
 PendingCall TcpClient::AsyncCall(MessageType type, BytesView body,
@@ -525,6 +934,7 @@ PendingCall TcpClient::AsyncCall(MessageType type, BytesView body,
   PendingCall handle = completer.pending();
 
   uint64_t id = 0;
+  bool wake = false;
   Status closed_status;
   {
     MutexLock lock(mu_);
@@ -532,9 +942,10 @@ PendingCall TcpClient::AsyncCall(MessageType type, BytesView body,
       closed_status = conn_status_;
     } else {
       id = next_request_id_++;
-      int64_t t = op_timeout_ms_.load();
-      pending_.emplace(id,
-                       Pending{completer, t > 0 ? SteadyNowMs() + t : 0});
+      pending_.emplace(id, Pending{completer, nullptr, NewDeadline()});
+      ++uncovered_;
+      // No one is reading: the reader thread takes the role for this call.
+      wake = !reading_;
     }
   }
   if (id == 0) {
@@ -543,48 +954,86 @@ PendingCall TcpClient::AsyncCall(MessageType type, BytesView body,
     return handle;
   }
   ClientPendingGauge().Inc();
-
-  // Register-then-send: the reader may legally see the response before this
-  // thread regains the CPU. Nudge the reader so its poll deadline covers
-  // the new call.
-  WakeReader();
-  // Stamp the caller's live trace context on the frame so the server's
-  // spans land in the same trace, under the span issuing this call.
-  metrics::TraceContext ctx;
-  if constexpr (metrics::kEnabled) ctx = metrics::OutgoingTraceContext();
-  Bytes frame = EncodeFrame(type, id, body, ctx.trace_id,
-                            ctx.parent_span_id);
-  if constexpr (metrics::kEnabled) {
-    ClientVolume().tx_frames.Inc();
-    ClientVolume().tx_bytes.Inc(frame.size());
-  }
-  Status write_status;
-  {
-    MutexLock lock(write_mu_);
-    // tc_analyze:allow(blocking-under-lock) write_mu_ exists to serialize request frames onto the socket — the write IS its critical section; mu_ (the bookkeeping lock) is never held here
-    write_status = WriteAll(fd_, frame);
-  }
-  if (!write_status.ok()) {
-    // A mid-frame write failure poisons the stream for every later frame;
-    // fail the connection (this call is still pending, so it fans out too).
-    FailConnection(write_status);
-  }
+  // Register-then-send: the holder may legally see the response before
+  // this thread regains the CPU.
+  if (wake) reader_cv_.NotifyOne();
+  Send(type, id, body);
   return handle;
+}
+
+Result<Bytes> TcpClient::Call(MessageType type, BytesView body) {
+  Waiter self;
+  uint64_t id = 0;
+  {
+    MutexLock lock(mu_);
+    if (closed_) return conn_status_;
+    id = next_request_id_++;
+    pending_.emplace(id, Pending{std::nullopt, &self, NewDeadline()});
+  }
+  ClientPendingGauge().Inc();
+  // Send before taking the read role: a holder blocked in send while the
+  // server waits for it to drain responses would deadlock the connection.
+  Send(type, id, body);
+  bool read = false;
+  {
+    MutexLock lock(mu_);
+    while (!self.done && !read) {
+      if (!reading_) {
+        reading_ = read = true;
+      } else {
+        waiting_.push_back(&self);
+        self.cv.Wait(mu_);
+        std::erase(waiting_, &self);
+      }
+    }
+  }
+  if (read) ReadAsHolder(&self);
+  MutexLock lock(mu_);
+  return std::move(self.result);
+}
+
+void TcpClient::ReleaseRole() {
+  reading_ = false;
+  // Prefer a blocked caller (it then reads for every pending call); the
+  // reader thread only steps in for calls no caller is reading for.
+  for (Waiter* w : waiting_) {
+    if (!w->done) {
+      w->cv.NotifyOne();
+      return;
+    }
+  }
+  if (uncovered_ > 0 && !closed_) reader_cv_.NotifyOne();
 }
 
 void TcpClient::ReaderLoop() {
   for (;;) {
-    // Expiry is checked here, at the top of EVERY iteration — not only
-    // when poll times out — so a stuck request still fails on schedule
-    // while other responses keep the socket readable. (A peer trickling
-    // one frame forever is backstopped by SO_RCVTIMEO inside ReadExact.)
-    int timeout = -1;
-    bool expired = false;
     {
       MutexLock lock(mu_);
+      while (!closed_ && (reading_ || uncovered_ == 0)) {
+        reader_cv_.Wait(mu_);
+      }
       if (closed_) return;
-      int64_t t = op_timeout_ms_.load();
-      if (t > 0 && !pending_.empty()) {
+      reading_ = true;
+    }
+    ReadAsHolder(nullptr);
+  }
+}
+
+void TcpClient::ReadAsHolder(const Waiter* self) {
+  for (;;) {
+    // Expiry is checked here, at the top of EVERY iteration — not only
+    // when poll times out — so a stuck request still fails on schedule
+    // while other responses keep the socket readable.
+    int timeout = -1;
+    bool expired = false;
+    size_t stranded = 0;
+    {
+      MutexLock lock(mu_);
+      if (closed_ || (self != nullptr ? self->done : uncovered_ == 0)) {
+        ReleaseRole();
+        return;
+      }
+      if (op_timeout_ms_.load() > 0) {
         int64_t min_deadline = INT64_MAX;
         for (const auto& [id, p] : pending_) {
           if (p.deadline_ms > 0) {
@@ -595,6 +1044,7 @@ void TcpClient::ReaderLoop() {
           int64_t remaining = min_deadline - SteadyNowMs();
           if (remaining <= 0) {
             expired = true;
+            stranded = pending_.size();
           } else {
             timeout = static_cast<int>(
                 std::clamp<int64_t>(remaining, 1, 3'600'000));
@@ -604,11 +1054,6 @@ void TcpClient::ReaderLoop() {
     }
     if (expired) {
       ClientOpTimeouts().Inc();
-      size_t stranded = 0;
-      {
-        MutexLock lock(mu_);
-        stranded = pending_.size();
-      }
       // One expiry strands every pending call on this connection (the
       // stream cannot be resynced) — journal the storm size, not just the
       // first victim.
@@ -619,7 +1064,7 @@ void TcpClient::ReaderLoop() {
       FailConnection(Unavailable("request timed out after " +
                                  std::to_string(op_timeout_ms_.load()) +
                                  " ms"));
-      return;
+      continue;
     }
 
     pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
@@ -629,7 +1074,7 @@ void TcpClient::ReaderLoop() {
       if (errno == EINTR) continue;
       FailConnection(
           Unavailable(std::string("poll failed: ") + std::strerror(errno)));
-      return;
+      continue;
     }
     if (rc == 0) continue;  // re-enter the deadline pass above
     if (nfds == 2 && (fds[1].revents & POLLIN)) {
@@ -639,47 +1084,73 @@ void TcpClient::ReaderLoop() {
     }
     if (!(fds[0].revents & (POLLIN | POLLHUP | POLLERR))) continue;
 
-    auto header = ReadFrameHeader(fd_, max_frame_body_);
-    if (!header.ok()) {
-      FailConnection(header.status());
-      return;
-    }
-    if (header->type != MessageType::kResponse) {
-      FailConnection(
-          DataLoss("protocol violation: non-response frame from server"));
-      return;
-    }
-    Bytes body(header->body_len);
-    if (Status st = ReadExact(fd_, body); !st.ok()) {
-      FailConnection(st);
-      return;
-    }
-    if constexpr (metrics::kEnabled) {
-      ClientVolume().rx_frames.Inc();
-      // tc_analyze:allow(bounded-decode) byte accounting, not header parsing
-      ClientVolume().rx_bytes.Inc(kFrameHeaderBytes + body.size());
-    }
-
-    std::optional<CallCompleter> completer;
-    {
-      MutexLock lock(mu_);
-      auto it = pending_.find(header->request_id);
-      if (it != pending_.end()) {
-        completer = std::move(it->second.completer);
-        pending_.erase(it);
+    Status read_status;
+    bool open = in_.Fill(fd_, read_status);
+    // Deliver every complete frame, even when the peer closed right after
+    // sending them.
+    while (auto header = in_.PeekHeader(max_frame_body_)) {
+      if (!header->ok()) {
+        FailConnection(header->status());
+        break;
+      }
+      if ((*header)->type != MessageType::kResponse) {
+        FailConnection(
+            DataLoss("protocol violation: non-response frame from server"));
+        break;
+      }
+      if (!in_.Complete()) break;
+      if (!Deliver(self, (*header)->request_id, in_.Body())) break;
+      size_t frame_bytes = in_.Consume();
+      if constexpr (metrics::kEnabled) {
+        ClientVolume().rx_frames.Inc();
+        ClientVolume().rx_bytes.Inc(frame_bytes);
       }
     }
-    if (completer) ClientPendingGauge().Dec();
-    if (!completer) {
-      // A response for an id we never sent (or already answered): the
-      // demux invariant is broken, so no later match can be trusted.
-      FailConnection(DataLoss(
-          "protocol violation: response for unknown request id " +
-          std::to_string(header->request_id)));
-      return;
-    }
-    completer->Complete(DecodeResponseBody(body));
+    if (!open) FailConnection(read_status);
   }
+}
+
+bool TcpClient::Deliver(const Waiter* self, uint64_t request_id,
+                        BytesView body) {
+  Result<Bytes> result = DecodeResponseBody(body);
+  std::optional<CallCompleter> completer;
+  bool found = false;
+  bool handoff = false;
+  {
+    MutexLock lock(mu_);
+    auto it = pending_.find(request_id);
+    if (it != pending_.end()) {
+      found = true;
+      Pending& p = it->second;
+      if (p.waiter != nullptr) {
+        p.waiter->result = std::move(result);
+        p.waiter->done = true;
+        if (p.waiter != self) {
+          // Another thread's blocking call: wake it with its response.
+          p.waiter->cv.NotifyOne();
+          handoff = true;
+        }
+      } else {
+        completer = std::move(p.completer);
+        --uncovered_;
+      }
+      pending_.erase(it);
+    }
+  }
+  if (!found) {
+    // A response for an id we never sent (or already answered): the
+    // demux invariant is broken, so no later match can be trusted.
+    FailConnection(DataLoss(
+        "protocol violation: response for unknown request id " +
+        std::to_string(request_id)));
+    return false;
+  }
+  ClientPendingGauge().Dec();
+  if constexpr (metrics::kEnabled) {
+    if (handoff) ClientVolume().handoffs.Inc();
+  }
+  if (completer) completer->Complete(std::move(result));
+  return true;
 }
 
 }  // namespace tc::net

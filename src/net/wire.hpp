@@ -18,8 +18,9 @@
 // returns a PendingCall immediately, many calls can be in flight on one
 // connection, and responses match back to their calls by request id in any
 // order (the pipelining the paper's Netty stack gets for free, §5).
-// Call() is a thin blocking wrapper over AsyncCall for call sites that
-// want one round trip.
+// Call() is the blocking form for call sites that want one round trip;
+// by default it waits on AsyncCall, and a transport may override it to
+// read its own response (TcpClient does).
 #pragma once
 
 #include <cstdint>
@@ -144,9 +145,11 @@ class PendingCall {
 };
 
 /// Completion callback, invoked exactly once when the call completes — on
-/// the transport's reader thread (TcpClient), an executor thread (shard
-/// channels), or inline inside AsyncCall (InProcTransport, transport
-/// errors). Must not block and must not call back into the transport.
+/// whichever thread reads the response frame (TcpClient: its reader thread
+/// or a caller blocked in Call on the same connection), an executor thread
+/// (shard channels), or inline inside AsyncCall (InProcTransport,
+/// transport errors). Must not block and must not call back into the
+/// transport.
 using CallCallback = std::function<void(const Result<Bytes>&)>;
 
 /// Producer side of a PendingCall: transports make one per request and
@@ -175,8 +178,9 @@ class Transport {
   virtual PendingCall AsyncCall(MessageType type, BytesView body,
                                 CallCallback on_done = nullptr) = 0;
 
-  /// Blocking convenience wrapper: one request, await its response.
-  TC_BLOCKING Result<Bytes> Call(MessageType type, BytesView body) {
+  /// Blocking form: one request, await its response. The default waits on
+  /// AsyncCall; transports may override it with a cheaper path.
+  TC_BLOCKING virtual Result<Bytes> Call(MessageType type, BytesView body) {
     return AsyncCall(type, body).Wait();
   }
 };

@@ -5,13 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
+#include <ctime>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -1108,6 +1114,201 @@ TEST(Tcp, PeerClosingMidFrameLeavesOtherConnectionsServing) {
   auto reply = (*fresh)->Call(MessageType::kPing, ToBytes("new peer"));
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(ToString(*reply), "new peer");
+  server.Stop();
+}
+
+TEST(Tcp, LargeFramesInterleaveWithSmallOnes) {
+  TcpServer server(std::make_shared<EchoHandler>(), 0);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = TcpClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+
+  // Frames far larger than one socket buffer or one receive pass,
+  // pipelined between small ones: every body must come back intact.
+  std::vector<Bytes> bodies;
+  for (size_t size : {size_t{3}, size_t{(1u << 20) + 3}, size_t{17},
+                      size_t{200u << 10}, size_t{0}, size_t{65536}}) {
+    Bytes body(size);
+    for (size_t i = 0; i < size; ++i) body[i] = static_cast<uint8_t>(i * 7);
+    bodies.push_back(std::move(body));
+  }
+  std::vector<PendingCall> calls;
+  for (const Bytes& body : bodies) {
+    calls.push_back((*client)->AsyncCall(MessageType::kPing, body));
+  }
+  for (size_t i = 0; i < bodies.size(); ++i) {
+    auto reply = calls[i].Wait();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(*reply, bodies[i]) << "frame " << i;
+  }
+  auto big = (*client)->Call(MessageType::kPing, bodies[1]);
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  EXPECT_EQ(*big, bodies[1]);
+  server.Stop();
+}
+
+size_t ProcessThreadCount() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Mapped address space of this process in MiB (/proc/self/status VmSize).
+/// An exited but never-joined thread keeps its stack mapped.
+size_t ProcessVmMiB() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoul(line.substr(7)) / 1024;
+    }
+  }
+  return 0;
+}
+
+TEST(Tcp, ClosedConnectionsLeaveNoThreadsBehind) {
+  TcpServer server(std::make_shared<EchoHandler>(), 0);
+  ASSERT_TRUE(server.Start().ok());
+  auto cycle = [&](int connections) {
+    for (int i = 0; i < connections; ++i) {
+      auto client = TcpClient::Connect("127.0.0.1", server.port());
+      ASSERT_TRUE(client.ok());
+      ASSERT_TRUE((*client)->Call(MessageType::kPing, ToBytes("x")).ok());
+    }
+  };
+  // Warm up first: the allocator's per-thread arenas are mapped once and
+  // then reused, and must not count as growth.
+  cycle(20);
+  size_t threads_before = ProcessThreadCount();
+  size_t vm_before = ProcessVmMiB();
+  cycle(200);
+  // The server notices each close on its own schedule; give it a moment.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (ProcessThreadCount() != threads_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(ProcessThreadCount(), threads_before);
+  // No thread stack per served connection stays mapped either (200 of
+  // them would be over a GiB).
+  EXPECT_LT(ProcessVmMiB(), vm_before + 64);
+  server.Stop();
+}
+
+/// Runs in a child process: exhausts the descriptor table so the server's
+/// accept fails with EMFILE while a connection waits in the backlog, then
+/// checks that the server does not spin and serves the waiting connection
+/// once a descriptor frees up. Returns the process exit code.
+int AcceptBackoffProbe() {
+  TcpServer server(std::make_shared<EchoHandler>(), 0);
+  if (!server.Start().ok()) return 2;
+  auto held = TcpClient::Connect("127.0.0.1", server.port());
+  if (!held.ok() || !(*held)->Call(MessageType::kPing, {}).ok()) return 3;
+  uint64_t errors_before =
+      metrics::GetCounter("tc_net_accept_errors_total").value();
+
+  // Lower the limit close to what is open, fill every free slot, then
+  // free exactly one for the waiting connection's client socket.
+  int highest = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    highest = std::max(highest, std::stoi(entry.path().filename().string()));
+  }
+  rlimit lim{};
+  ::getrlimit(RLIMIT_NOFILE, &lim);
+  lim.rlim_cur = static_cast<rlim_t>(highest) + 16;
+  if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) return 4;
+  std::vector<int> fillers;
+  for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) {
+    fillers.push_back(fd);
+  }
+  if (fillers.empty()) return 5;
+  ::close(fillers.back());
+  fillers.pop_back();
+  int waiting = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (waiting < 0) return 6;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  if (::connect(waiting, reinterpret_cast<sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    return 7;
+  }
+
+  // The server cannot accept it now. It must wait, not spin.
+  auto cpu_ms = [] {
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return ts.tv_sec * 1000.0 + ts.tv_nsec / 1e6;
+  };
+  double cpu_before = cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  double cpu_spent = cpu_ms() - cpu_before;
+  if (cpu_spent > 50) {
+    std::fprintf(stderr, "server burned %.1f ms of CPU in 200 ms\n",
+                 cpu_spent);
+    return 8;
+  }
+  if (metrics::kEnabled &&
+      metrics::GetCounter("tc_net_accept_errors_total").value() ==
+          errors_before) {
+    std::fprintf(stderr, "no accept error was counted\n");
+    return 9;
+  }
+
+  // One client closes: its descriptors free up and the waiting
+  // connection is accepted and served.
+  held->reset();
+  timeval tv{5, 0};
+  ::setsockopt(waiting, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  if (!WriteAll(waiting, EncodeFrame(MessageType::kPing, 1, ToBytes("late")))
+           .ok()) {
+    return 10;
+  }
+  Bytes header(kFrameHeaderBytes);
+  if (!ReadExact(waiting, header).ok()) return 11;
+  auto decoded = DecodeFrameHeader(header);
+  if (!decoded.ok()) return 12;
+  Bytes body(decoded->body_len);
+  if (!ReadExact(waiting, body).ok()) return 13;
+  auto reply = DecodeResponseBody(body);
+  if (!reply.ok() || ToString(*reply) != "late") return 14;
+  ::close(waiting);
+  for (int fd : fillers) ::close(fd);
+  server.Stop();
+  return 0;
+}
+
+TEST(TcpDeathTest, AcceptErrorsBackOffInsteadOfSpinning) {
+  // Re-exec rather than fork: the child starts threads, and the lowered
+  // descriptor limit must apply to that child alone.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_EXIT(std::exit(AcceptBackoffProbe()), ::testing::ExitedWithCode(0),
+              "");
+}
+
+TEST(Tcp, SequentialCallsMakeNoThreadHandoffs) {
+  if (!metrics::kEnabled) GTEST_SKIP() << "metrics compiled out";
+  TcpServer server(std::make_shared<EchoHandler>(), 0);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = TcpClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  auto& server_hops =
+      metrics::GetCounter("tc_net_handoffs_total", "side=\"server\"");
+  auto& client_hops =
+      metrics::GetCounter("tc_net_handoffs_total", "side=\"client\"");
+  uint64_t server_before = server_hops.value();
+  uint64_t client_before = client_hops.value();
+
+  // One caller, one request at a time: the server thread that reads each
+  // request runs it, and the caller reads its own response.
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE((*client)->Call(MessageType::kPing, ToBytes("hop")).ok());
+  }
+  EXPECT_EQ(server_hops.value() - server_before, 0u);
+  EXPECT_EQ(client_hops.value() - client_before, 0u);
   server.Stop();
 }
 
