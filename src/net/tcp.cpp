@@ -440,7 +440,9 @@ void TcpServer::Stop() {
   }
   pool_.clear();
   {
+    // Connections still open here were never closed by a read turn.
     MutexLock lock(conns_mu_);
+    ServerConnsGauge().Dec(static_cast<int64_t>(conns_.size()));
     conns_.clear();
   }
   CloseFds({&listen_fd_, &epoll_fd_, &wake_fd_, &backoff_fd_});

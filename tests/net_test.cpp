@@ -1312,6 +1312,22 @@ TEST(Tcp, SequentialCallsMakeNoThreadHandoffs) {
   server.Stop();
 }
 
+TEST(Tcp, StopReleasesOpenConnectionsFromTheGauge) {
+  if (!metrics::kEnabled) GTEST_SKIP() << "metrics compiled out";
+  auto& conns = metrics::GetGauge("tc_net_server_conns");
+  int64_t before = conns.value();
+  TcpServer server(std::make_shared<EchoHandler>(), 0);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = TcpClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE((*client)->Call(MessageType::kPing, ToBytes("open")).ok());
+  EXPECT_EQ(conns.value(), before + 1);
+
+  // The client is still connected when the server stops.
+  server.Stop();
+  EXPECT_EQ(conns.value(), before);
+}
+
 /// Handler that records the ambient trace context of every request: the
 /// wire layer must stamp it before dispatching into the handler chain.
 class TraceProbeHandler : public RequestHandler {
